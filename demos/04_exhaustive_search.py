@@ -25,9 +25,9 @@ print("smallest size found:", min(len(c.elements) for c in hits))
 print("\nnormalize {5,7,8,9,12,16,17,19}:", normalize_affine(FiniteSet([5, 7, 8, 9, 12, 16, 17, 19])))
 print("normalize {0,4,8}:             ", normalize_affine(FiniteSet([0, 4, 8])))
 
-# The same machinery compares any pair of integer forms. For three
-# variables, t1+t2+t3 versus t1+t2-t3: the first image is almost always
-# the smaller one, and no set below diameter 12 beats it.
+# A second scanner compares the three-variable forms t1+t2+t3 and
+# t1+t2-t3: the first image is almost always the smaller one, and no set
+# below diameter 12 beats it.
 for n in (6, 8, 10, 12):
     found = triple_form_scan(SearchConfig(max_diameter=n))
     print(f"diameter <= {n}: {len(found)} sets with |A+A+A| > |A+A-A|")

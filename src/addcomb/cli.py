@@ -154,7 +154,7 @@ def _cmd_search(args) -> int:
     )
     t0 = time.perf_counter()
     if args.mode == "mstd":
-        jobs = args.jobs if args.jobs else default_jobs()
+        jobs = default_jobs() if args.jobs is None else args.jobs
         for cs in enumerate_mstd(cfg, jobs=jobs):
             s, d = sum_diff_counts(mask_of(cs.elements))
             print(f"{cs}\t{s}\t{d}")

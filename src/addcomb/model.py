@@ -58,6 +58,8 @@ class BasisDecl:
             raise ValueError("basis must have dimension >= 1")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("basis labels must be distinct")
+        if not all(math.isfinite(x) for x in self.approx):
+            raise ValueError("basis approximations must be finite")
         if self.labels[0] != "1" or self.approx[0] != 1.0:
             raise ValueError("first basis element must be the constant 1 with approx 1.0")
 

@@ -107,6 +107,12 @@ def lattice_embed(A: LatticeSet, form: LinearForm) -> tuple[FiniteSet, Embedding
     which makes the per-coordinate carry terms too small to create or
     destroy any coincidence of the form.
     """
+    values, params = _base_encode(A, form)
+    return FiniteSet(values), params
+
+
+def _base_encode(A: LatticeSet, form: LinearForm) -> tuple[list, EmbeddingParams]:
+    """lattice_embed's integers, one per point in point order."""
     if not form.is_integral():
         raise ValueError("clear the form's denominators before lattice embedding")
     a_star = max(abs(x) for p in A.points for x in p)
@@ -117,7 +123,7 @@ def lattice_embed(A: LatticeSet, form: LinearForm) -> tuple[FiniteSet, Embedding
     values = [sum(x * w for x, w in zip(p, powers)) for p in A.points]
     if len(set(values)) != len(values):
         raise CertificateError("base encoding collided; lambda bound violated")
-    return FiniteSet(values), EmbeddingParams(a_star, phi_star, h, lam)
+    return values, EmbeddingParams(a_star, phi_star, h, lam)
 
 
 def _coordinate_rows(A: FiniteSet) -> tuple[list, int]:
@@ -154,9 +160,7 @@ def realize_group(A: FiniteSet, form: LinearForm) -> RealizationResult:
     m = math.lcm(*(Fraction(c).denominator for row in rows for c in row))
     lattice = LatticeSet(dim, [tuple(m * c for c in row) for row in rows])
     iform, _ = clear_denominators(form)
-    _, params = lattice_embed(lattice, iform)
-    powers = [params.lam**i for i in range(dim)]
-    raw = [sum(x * w for x, w in zip(p, powers)) for p in lattice.points]
+    raw, params = _base_encode(lattice, iform)
     return _finish(A, form, raw, "group", params)
 
 
@@ -184,7 +188,15 @@ def realize_dirichlet(
         image = form_image(iform, A).image
     except ValueError as exc:
         raise ApproximationError(f"cannot order the form image: {exc}") from None
-    floats = [float(x) for x in image.elements]
+    elems = A.elements
+    try:
+        floats = [float(x) for x in image.elements]
+        approx = np.array([float(a) for a in elems], dtype=np.float64)
+    except OverflowError:
+        raise ApproximationError(
+            "an element or form value is too large for a float; "
+            "the denominator search needs float approximations"
+        ) from None
     gap = min(b - a for a, b in zip(floats, floats[1:])) if len(floats) > 1 else 1.0
     if gap < 1e-12:
         raise ApproximationError(
@@ -194,8 +206,6 @@ def realize_dirichlet(
     delta_star = gap * (1.0 - 1e-6)
     eps = Fraction(min(delta_star, 1.0)) / (2 * h * phi_star) / 2
 
-    elems = A.elements
-    approx = np.array([float(a) for a in elems], dtype=np.float64)
     if A.basis is None:
         rational_elems = list(elems)
     elif all(x.is_rational() for x in elems):

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .model import DIFFERENCE_FORM, SUM_FORM, FiniteSet, LinearForm
+from .model import FiniteSet
 
 JOBS_ENV_VAR = "ADDCOMB_JOBS"
 
@@ -32,21 +32,30 @@ def default_jobs() -> int:
         return 1
 
 
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def worker_count(jobs: int, tasks: int, cpus: int) -> int:
+    """Processes worth starting: a pool starts all of its workers at once,
+    so never more than there are tasks or CPUs to run them."""
+    return min(jobs, tasks, cpus)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     max_diameter: int
     size_filter: int | None = None
     require_endpoints: bool = False
-    forms: tuple = (SUM_FORM, DIFFERENCE_FORM)
 
     def __post_init__(self):
         if not 1 <= self.max_diameter <= 63:
             raise BudgetExceededError("max_diameter must lie in 1..63")
         if self.size_filter is not None and self.size_filter < 1:
             raise ValueError("size_filter must be positive")
-        for f in self.forms:
-            if not f.is_integral():
-                raise ValueError("search forms need integer coefficients")
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,6 @@ class CanonicalSet:
     lexicographically above its own reflection."""
 
     bits: int
-    normalized: bool = True
 
     @property
     def elements(self) -> tuple:
@@ -86,59 +94,18 @@ def mask_elements(mask: int) -> tuple:
     return tuple(out)
 
 
-def sumset_bits(mask: int) -> int:
-    """Bitset of {a + a'} for the set encoded by mask."""
-    acc = 0
-    m = mask
-    while m:
-        low = m & -m
-        acc |= mask << (low.bit_length() - 1)
-        m ^= low
-    return acc
-
-
-def diffset_nonneg_bits(mask: int) -> int:
-    """Bitset of {a - a' : a >= a'}; the full difference set mirrors it."""
-    acc = 0
-    m = mask
-    while m:
-        low = m & -m
-        acc |= mask >> (low.bit_length() - 1)
-        m ^= low
-    return acc
-
-
 def sum_diff_counts(mask: int) -> tuple[int, int]:
-    return sumset_bits(mask).bit_count(), 2 * diffset_nonneg_bits(mask).bit_count() - 1
-
-
-def form_image_bits(form: LinearForm, mask: int, n: int) -> tuple[int, int]:
-    """Image of an integer-coefficient form over the mask set.
-
-    Returns (bits, offset): value v is present iff bit (v - offset) is set.
-    Built one slot at a time; a negative coefficient c shifts by c*(a - n)
-    and pushes the offset down by c*n to keep indices nonnegative.
-    """
-    if not form.is_integral():
-        raise ValueError("bitset images need integer coefficients")
-    els = mask_elements(mask)
-    bits = 1
-    offset = 0
-    for c in form.coeffs:
-        layer = 0
-        if c >= 0:
-            for a in els:
-                layer |= bits << (c * a)
-        else:
-            for a in els:
-                layer |= bits << (c * (a - n))
-            offset += c * n
-        bits = layer
-    return bits, offset
-
-
-def mask_values(bits: int, offset: int) -> tuple:
-    return tuple(e + offset for e in mask_elements(bits))
+    """|A+A| and |A-A| for the set encoded by mask. The difference bitset
+    holds {a - a' : a >= a'}; the full difference set mirrors it."""
+    sums = diffs = 0
+    m = mask
+    while m:
+        low = m & -m
+        a = low.bit_length() - 1
+        sums |= mask << a
+        diffs |= mask >> a
+        m ^= low
+    return sums.bit_count(), 2 * diffs.bit_count() - 1
 
 
 def is_symmetric_mask(mask: int) -> bool:
@@ -183,96 +150,55 @@ def _passes_filters(mask: int, cfg: SearchConfig) -> bool:
     return True
 
 
-def _reflection_preferred(mask: int) -> bool:
-    """Cheap pre-test: when the first gap exceeds the last gap the mirrored
-    set is lexicographically smaller and will be scanned on its own, so this
-    copy can skip evaluation. Ties evaluate both; dedup merges later."""
-    rest = mask ^ 1
-    if not rest:
-        return False
-    first = (rest & -rest).bit_length() - 1
-    hi = mask.bit_length() - 1
-    hi2 = (mask ^ (1 << hi)).bit_length() - 1
-    return first > hi - hi2
+def _mstd_chunk(args) -> list:
+    """Worker: every MSTD set whose smallest element above 0 is `first`.
 
-
-def _mstd_walk(n: int, start: int, mask: int, rmask: int, sumb: int, dpos: int,
-               cfg: SearchConfig, out: list):
-    """DFS over supersets of `mask` using elements start..n."""
-    emit = out.append
-    stack = [(start, mask, rmask, sumb, dpos)]
+    A depth-first walk from {0}: a frame (lo, hi, mask, rmask, sumb, dpos)
+    adds each element a in lo..hi-1 to its set in turn. The root frame adds
+    only `first`; every later frame adds anything above the last element,
+    so none is pushed once a = n leaves nothing to add.
+    """
+    n, first = args
+    top = n + 1
+    hits = []
+    emit = hits.append
+    stack = [(first, first + 1, 1, 1 << n, 1, 1)]
     pop = stack.pop
     push = stack.append
     while stack:
-        a0, mask, rmask, sumb, dpos = pop()
-        for a in range(a0, n + 1):
+        lo, hi, mask, rmask, sumb, dpos = pop()
+        for a in range(lo, hi):
             m2 = mask | (1 << a)
             s2 = sumb | (mask << a) | (1 << (a + a))
             d2 = dpos | (rmask >> (n - a))
-            r2 = rmask | (1 << (n - a))
-            if (
-                _passes_filters(m2, cfg)
-                and not _reflection_preferred(m2)
-                and s2.bit_count() > 2 * d2.bit_count() - 1
-            ):
+            if s2.bit_count() > 2 * d2.bit_count() - 1:
                 emit(m2)
-            push((a + 1, m2, r2, s2, d2))
-    return out
-
-
-def _mstd_chunk(args) -> list:
-    """Worker: the subtree whose smallest element above 0 is `first`."""
-    n, first, cfg = args
-    mask = 1 | (1 << first)
-    rmask = (1 << n) | (1 << (n - first))
-    sumb = 1 | (1 << first) | (1 << (2 * first))
-    dpos = 1 | (1 << first)
-    out: list = []
-    if (
-        _passes_filters(mask, cfg)
-        and not _reflection_preferred(mask)
-        and sumb.bit_count() > 2 * dpos.bit_count() - 1
-    ):
-        out.append(mask)
-    return _mstd_walk(n, first + 1, mask, rmask, sumb, dpos, cfg, out)
-
-
-def _generic_predicate_scan(cfg: SearchConfig) -> list:
-    """Per-mask fallback when the comparison forms are not sum vs difference."""
-    n = cfg.max_diameter
-    f1, f2 = cfg.forms
-    hits = []
-    for mask in range(1, 1 << (n + 1), 2):
-        if not _passes_filters(mask, cfg):
-            continue
-        b1, _ = form_image_bits(f1, mask, n)
-        b2, _ = form_image_bits(f2, mask, n)
-        if b1.bit_count() > b2.bit_count():
-            hits.append(mask)
+            if a < n:
+                push((a + 1, top, m2, rmask | (1 << (n - a)), s2, d2))
     return hits
 
 
 def enumerate_mstd(cfg: SearchConfig, jobs: int | None = None) -> list[CanonicalSet]:
-    """All canonical sets of diameter <= n whose first-form image is strictly
-    larger than the second-form image (sum vs difference by default),
-    deduplicated per affine class and sorted lexicographically."""
+    """All canonical sets of diameter <= n with |A+A| > |A-A|, deduplicated
+    per affine class and sorted lexicographically. The walk finds every
+    MSTD subset of {0..n} containing 0; the filters then apply to those
+    hits only, and a set and its mirror image share one canonical class."""
     n = cfg.max_diameter
     if jobs is None:
         jobs = default_jobs()
-    if cfg.forms != (SUM_FORM, DIFFERENCE_FORM):
-        raw = _generic_predicate_scan(cfg)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    # the root set {0} alone is never MSTD; each task holds one first element
+    tasks = [(n, first) for first in range(1, n + 1)]
+    workers = worker_count(jobs, len(tasks), usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_mstd_chunk, tasks))
     else:
-        tasks = [(n, first, cfg) for first in range(1, n + 1)]
-        raw = []
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for chunk in pool.map(_mstd_chunk, tasks):
-                    raw.extend(chunk)
-        else:
-            for t in tasks:
-                raw.extend(_mstd_chunk(t))
-        # the root set {0} alone: never MSTD, nothing to check
-    canon = {_canonical_mask(m) for m in raw}
+        chunks = map(_mstd_chunk, tasks)
+    canon = {
+        _canonical_mask(m) for chunk in chunks for m in chunk if _passes_filters(m, cfg)
+    }
     return [CanonicalSet(m) for m in sorted(canon, key=mask_elements)]
 
 

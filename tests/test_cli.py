@@ -175,3 +175,29 @@ def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "mstd", "/nonexistent/path.set")
     assert code == 1
     assert "error" in err
+
+
+def test_search_jobs_below_one_exit_code(capsys):
+    for jobs in ("0", "-1"):
+        code, out, err = run(capsys, "search", "mstd", "--max-diameter", "8", "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_mstd_on_nan_basis_exit_code(capsys, tmp_path):
+    p = tmp_path / "nan.set"
+    p.write_text("basis: 1=1.0, r=nan\n0, 0\n1, 0\n0, 1\n")
+    code, out, err = run(capsys, "mstd", str(p))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_dirichlet_on_element_too_large_for_float_exit_code(capsys, tmp_path):
+    p = tmp_path / "huge.set"
+    p.write_text(f"{10**309}\n1\n")
+    code, out, err = run(capsys, "realize", "--method", "dirichlet", "--form", "1,1", str(p))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

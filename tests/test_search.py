@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,15 +17,14 @@ from addcomb import (
     symmetry_center,
     triple_form_scan,
 )
+from addcomb import search
 from addcomb.search import (
-    form_image_bits,
     is_symmetric_mask,
     mask_elements,
     mask_of,
-    mask_values,
     sum_diff_counts,
+    worker_count,
 )
-from helpers import naive_image
 
 
 class TestMaskKernel:
@@ -46,17 +46,6 @@ class TestMaskKernel:
             s, d = sum_diff_counts(mask_of(els))
             assert s == form_image(LinearForm((1, 1)), A).size
             assert d == form_image(LinearForm((1, -1)), A).size
-
-    def test_generic_form_bits(self):
-        rng = random.Random(15)
-        for _ in range(200):
-            n = rng.randint(1, 16)
-            k = rng.randint(1, min(n + 1, 6))
-            els = sorted(rng.sample(range(n + 1), k))
-            h = rng.randint(1, 3)
-            coeffs = tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(h))
-            bits, offset = form_image_bits(LinearForm(coeffs), mask_of(els), n)
-            assert set(mask_values(bits, offset)) == naive_image(coeffs, els)
 
 
 class TestNormalizeAffine:
@@ -106,14 +95,30 @@ class TestEnumerateMstd:
         assert all(len(c.elements) >= 8 for c in out)
 
     def test_oracle_equivalence_small_diameters(self):
-        for n in range(1, 11):
-            found = {c.elements for c in enumerate_mstd(SearchConfig(max_diameter=n))}
-            expected = set()
+        # nothing is MSTD below diameter 14, so only 14 and 15 give the
+        # size and endpoint filters hits to act on
+        filters = {n: [(None, False)] for n in range(1, 11)}
+        filters[14] = filters[15] = list(itertools.product((None, 8, 9), (False, True)))
+        for n, combos in filters.items():
+            hits = []
             for mask in range(1, 1 << (n + 1), 2):
-                A = FiniteSet(mask_elements(mask))
-                if is_mstd(A).is_mstd:
-                    expected.add(normalize_affine(A).elements)
-            assert found == expected, f"diameter {n}"
+                els = mask_elements(mask)
+                sums = {a + b for a in els for b in els}
+                diffs = {a - b for a in els for b in els}
+                if len(sums) > len(diffs):
+                    hits.append(els)
+            for size, endpoints in combos:
+                cfg = SearchConfig(
+                    max_diameter=n, size_filter=size, require_endpoints=endpoints
+                )
+                found = [c.elements for c in enumerate_mstd(cfg)]
+                expected = {
+                    normalize_affine(FiniteSet(els)).elements
+                    for els in hits
+                    if (size is None or len(els) == size) and (not endpoints or els[-1] == n)
+                }
+                where = f"diameter {n}, size {size}, endpoints {endpoints}"
+                assert found == sorted(expected), where
 
     def test_every_emission_is_mstd(self):
         for c in enumerate_mstd(SearchConfig(max_diameter=15)):
@@ -131,21 +136,39 @@ class TestEnumerateMstd:
         # diameter-14 classes are excluded by the endpoint requirement
         assert all(c.elements != (0, 2, 3, 4, 7, 11, 12, 14) for c in out)
 
-    def test_custom_forms_fall_back_to_generic_scan(self):
-        cfg = SearchConfig(
-            max_diameter=6, forms=(LinearForm((1, 1, 1)), LinearForm((1, 1, -1)))
-        )
-        assert enumerate_mstd(cfg) == triple_equiv(6)
+    def test_worker_count_is_capped_by_tasks_and_cpus(self):
+        assert worker_count(100000, 22, 2) == 2
+        assert worker_count(100000, 3, 64) == 3
+        assert worker_count(4, 22, 8) == 4
+        assert worker_count(1, 22, 8) == 1
+
+    def test_jobs_from_environment_go_through_the_cap(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setenv(search.JOBS_ENV_VAR, "100000")
+        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(search, "usable_cpus", lambda: 3)
+        cfg = SearchConfig(max_diameter=14)
+        assert enumerate_mstd(cfg) == enumerate_mstd(cfg, jobs=1)
+        assert started == [3]
 
     def test_diameter_bounds(self):
         with pytest.raises(BudgetExceededError):
             SearchConfig(max_diameter=0)
         with pytest.raises(BudgetExceededError):
             SearchConfig(max_diameter=64)
-
-
-def triple_equiv(n):
-    return [c for c, _, _ in triple_form_scan(SearchConfig(max_diameter=n))]
 
 
 class TestTripleFormScan:

@@ -58,6 +58,12 @@ def test_basis_must_start_with_unit():
         parse_set("basis: sqrt2=1.4, 1=1.0\n1, 0\n")
 
 
+def test_non_finite_basis_approximation_rejected():
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(SetFormatError, match="line 1.*finite"):
+            parse_set(f"basis: 1=1.0, r={bad}\n0, 1\n")
+
+
 def test_empty_file_rejected():
     with pytest.raises(SetFormatError, match="no elements"):
         parse_set("# nothing here\n")
