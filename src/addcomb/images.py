@@ -7,6 +7,7 @@ Sumsets and difference sets are the h = 2 special cases.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .model import (
@@ -37,10 +38,8 @@ class ImageReport:
 
 def form_image(form: LinearForm, A: FiniteSet) -> ImageReport:
     """Evaluate the form over all ordered tuples of A and group by value."""
-    counts: dict = {}
-    for v in value_table(form, A.elements):
-        counts[v] = counts.get(v, 0) + 1
-    return ImageReport(FiniteSet(counts.keys()), counts)
+    counts = Counter(value_table(form, A.elements))
+    return ImageReport(FiniteSet(counts), counts)
 
 
 def rep_function(form: LinearForm, A: FiniteSet, x) -> int:

@@ -8,6 +8,7 @@ two partitions, which is O(k^h) groupings instead of all k^{2h} pairs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from .model import (
     RealElement,
     Scalar,
     as_rational,
-    check_tuple_budget,
     signed_form,
     value_table,
 )
@@ -108,47 +108,50 @@ def _unrank(pos: int, k: int, h: int) -> tuple:
     return tuple(out)
 
 
-def is_phi_isomorphism(form: LinearForm, f: SetBijection) -> IsoVerdict:
-    """Compare the coincidence partitions of index-tuple space on both sides.
+def _coincidences(form: LinearForm, f: SetBijection):
+    """The one walk over both value tables, in tuple order.
 
-    The witness, when present, is the lexicographically first offending pair
-    of index tuples: same value on one side, different on the other.
+    Each side maps a value to (the other side's value, its first position);
+    a later position that disagrees is the first failure in that direction.
+    Returns the verdict, the domain-side map and the two value tables.
     """
     k = len(f.domain)
     h = form.arity
-    check_tuple_budget(k, h)
     avals = value_table(form, f.domain.elements)
     bvals = value_table(form, f.mapped_elements())
     forward: dict = {}
     backward: dict = {}
-    a_first: dict = {}
-    b_first: dict = {}
-    homo_fail = None
-    inv_fail = None
+    homo_fail = inv_fail = None
     for pos, (va, vb) in enumerate(zip(avals, bvals)):
-        if va in forward:
-            if homo_fail is None and forward[va] != vb:
-                homo_fail = (a_first[va], pos)
-        else:
-            forward[va] = vb
-            a_first[va] = pos
-        if vb in backward:
-            if inv_fail is None and backward[vb] != va:
-                inv_fail = (b_first[vb], pos)
-        else:
-            backward[vb] = va
-            b_first[vb] = pos
+        seen = forward.get(va)
+        if seen is None:
+            forward[va] = (vb, pos)
+        elif homo_fail is None and seen[0] != vb:
+            homo_fail = (seen[1], pos)
+        seen = backward.get(vb)
+        if seen is None:
+            backward[vb] = (va, pos)
+        elif inv_fail is None and seen[0] != va:
+            inv_fail = (seen[1], pos)
         if homo_fail is not None and inv_fail is not None:
             break
-    is_homo = homo_fail is None
-    is_iso = is_homo and inv_fail is None
+    fails = [t for t in (homo_fail, inv_fail) if t is not None]
     witness = None
-    if not is_iso:
-        fail = homo_fail if homo_fail is not None else inv_fail
-        if homo_fail is not None and inv_fail is not None:
-            fail = min(homo_fail, inv_fail, key=lambda t: t[1])
-        witness = (_unrank(fail[0], k, h), _unrank(fail[1], k, h))
-    return IsoVerdict(is_homo, is_iso, witness)
+    if fails:
+        u, v = min(fails, key=lambda t: t[1])
+        witness = (_unrank(u, k, h), _unrank(v, k, h))
+    return IsoVerdict(homo_fail is None, not fails, witness), forward, avals, bvals
+
+
+def is_phi_isomorphism(form: LinearForm, f: SetBijection) -> IsoVerdict:
+    """Compare the coincidence partitions of index-tuple space on both sides.
+
+    The witness, when present, is an offending pair (u, v) of index tuples,
+    u before v: same value on one side, different on the other. No offending
+    pair has a later tuple that comes before v in lexicographic order; the
+    pair itself need not be the lexicographically first one.
+    """
+    return _coincidences(form, f)[0]
 
 
 @dataclass(frozen=True)
@@ -170,24 +173,16 @@ class InducedMap:
 
 def induced_bijection(form: LinearForm, f: SetBijection) -> InducedMap:
     """Build the induced value map and verify multiplicities transfer."""
-    verdict = is_phi_isomorphism(form, f)
+    verdict, forward, avals, bvals = _coincidences(form, f)
     if not verdict.is_isomorphism:
         raise ValueError(f"bijection is not an isomorphism (witness {verdict.witness})")
-    ra = form_image(form, f.domain)
-    rb = form_image(form, FiniteSet(f.mapped_elements()))
-    mapped: dict = {}
-    avals = value_table(form, f.domain.elements)
-    bvals = value_table(form, f.mapped_elements())
-    for va, vb in zip(avals, bvals):
-        mapped.setdefault(va, vb)
+    ma, mb = Counter(avals), Counter(bvals)
     pairs = []
-    for x in ra.image:
-        y = mapped[x]
-        mx, my = ra.multiplicity(x), rb.multiplicity(y)
+    for x in FiniteSet(forward):
+        y = forward[x][0]
+        mx, my = ma[x], mb[y]
         if mx != my:
-            raise CertificateError(
-                f"multiplicity mismatch at {x} -> {y}: {mx} != {my}"
-            )
+            raise CertificateError(f"multiplicity mismatch at {x} -> {y}: {mx} != {my}")
         pairs.append((x, y, mx))
     if len({y for _, y, _ in pairs}) != len(pairs):
         raise CertificateError("induced map is not injective")

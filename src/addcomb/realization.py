@@ -135,13 +135,13 @@ def _coordinate_rows(A: FiniteSet) -> tuple[list, int]:
 
 def _finish(A: FiniteSet, form: LinearForm, raw_values: list, method: str, params) -> RealizationResult:
     """Translate positive, build the pairing, and verify it exhaustively."""
-    lo = min(raw_values)
-    shift = 1 - lo if lo < 1 else 0
-    final = [v + shift for v in raw_values]
-    if len(set(final)) != len(final):
+    raw = FiniteSet(raw_values)
+    if len(raw) != len(raw_values):
         raise CertificateError(f"{method} produced colliding images")
-    B = FiniteSet(final)
-    mapping = SetBijection.from_pairs(A, B, zip(A.elements, final))
+    # a translation keeps the order, so each value keeps its rank in B
+    rank = {v: i for i, v in enumerate(raw)}
+    B = translate_positive(raw)
+    mapping = SetBijection(A, B, tuple(rank[v] for v in raw_values))
     certificate = is_phi_isomorphism(form, mapping)
     if not certificate.is_isomorphism:
         raise CertificateError(
@@ -164,18 +164,14 @@ def realize_group(A: FiniteSet, form: LinearForm) -> RealizationResult:
     return _finish(A, form, raw, "group", params)
 
 
-def realize_dirichlet(
-    A: FiniteSet,
-    form: LinearForm,
-    q_bound: int = 10**9,
-    _block: int = 1 << 18,
-) -> RealizationResult:
+def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> RealizationResult:
     """Find q with every q*a_i within epsilon of an integer b_i, epsilon
     chosen so integer-side coincidences match exact-side ones.
 
     The scan is the plain increasing one over q, block-vectorized on the
-    float approximations. A certificate failure (possible only if the float
-    gap estimate lied) halves epsilon and resumes the scan.
+    float approximations, 2^18 values of q per block. A certificate failure
+    (possible only if the float gap estimate lied) halves epsilon and
+    resumes the scan.
     """
     k = len(A)
     iform, _ = clear_denominators(form)
@@ -217,7 +213,7 @@ def realize_dirichlet(
     while q < q_bound:
         eps_f = float(eps)
         lo = q + 1
-        hi = min(q + _block, q_bound)
+        hi = min(q + (1 << 18), q_bound)
         qs = np.arange(lo, hi + 1, dtype=np.float64)
         ok = np.ones(len(qs), dtype=bool)
         worst = np.zeros(len(qs), dtype=np.float64)

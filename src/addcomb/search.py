@@ -45,6 +45,10 @@ def worker_count(jobs: int, tasks: int, cpus: int) -> int:
     return min(jobs, tasks, cpus)
 
 
+#: the most nodes a scan may visit; a scan at diameter n visits 2^n
+NODE_BUDGET = 1 << 30
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     max_diameter: int
@@ -52,8 +56,13 @@ class SearchConfig:
     require_endpoints: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.max_diameter <= 63:
-            raise BudgetExceededError("max_diameter must lie in 1..63")
+        n = self.max_diameter
+        if n < 1:
+            raise BudgetExceededError("max_diameter must be at least 1")
+        if n >= NODE_BUDGET.bit_length():  # 2^n > NODE_BUDGET, without building 2^n
+            raise BudgetExceededError(
+                f"max_diameter {n} means 2^{n} nodes, above the node budget of {NODE_BUDGET}"
+            )
         if self.size_filter is not None and self.size_filter < 1:
             raise ValueError("size_filter must be positive")
 

@@ -12,6 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
+import addcomb
 from addcomb import (
     CANONICAL_MSTD8,
     DIFFERENCE_FORM,
@@ -77,11 +78,15 @@ def test_criterion_2_bounded_small_mstd_verification():
         and eights == [(0, 2, 3, 4, 7, 11, 12, 14)]
     )
 
+    # the child imports the same addcomb as this process, installed or not
+    src = os.path.dirname(os.path.dirname(addcomb.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     cli = subprocess.run(
         [sys.executable, "-m", "addcomb.cli", "search", "mstd", "--max-diameter", "14"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     ok_cli = cli.returncode == 0 and "0,2,3,4,7,11,12,14\t26\t25" in cli.stdout
 

@@ -185,6 +185,13 @@ def test_search_jobs_below_one_exit_code(capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_search_diameter_over_node_budget_exit_code(capsys):
+    code, out, err = run(capsys, "search", "mstd", "--max-diameter", "40")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_mstd_on_nan_basis_exit_code(capsys, tmp_path):
     p = tmp_path / "nan.set"
     p.write_text("basis: 1=1.0, r=nan\n0, 0\n1, 0\n0, 1\n")

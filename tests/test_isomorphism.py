@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from addcomb import (
     is_phi_isomorphism,
     anchor_normalize,
 )
+from addcomb import isomorphism
+from addcomb.model import value_table
 from helpers import BASIS_SQRT2, naive_multiplicities, random_form, random_int_set
 
 REFLECTED = affine_image(CANONICAL_MSTD8, -1, 14)
@@ -44,6 +47,39 @@ def exhaustive_iso_oracle(coeffs, f: SetBijection) -> bool:
             if (val(a, u) == val(a, v)) != (val(b, u) == val(b, v)):
                 return False
     return True
+
+
+def quadratic_disagreements(coeffs, f: SetBijection) -> tuple[list, bool]:
+    """Quadratic oracle: every pair u < v of index tuples whose coincidence
+    status differs between the sides, and whether each domain-side
+    coincidence also holds on the codomain side (a homomorphism)."""
+    a = f.domain.elements
+    b = f.mapped_elements()
+    idx = list(itertools.product(range(len(a)), repeat=len(coeffs)))
+
+    def val(els, tup):
+        return sum(c * els[i] for c, i in zip(coeffs, tup))
+
+    offending = []
+    homomorphism = True
+    for u, v in itertools.combinations(idx, 2):
+        same_a = val(a, u) == val(a, v)
+        same_b = val(b, u) == val(b, v)
+        if same_a != same_b:
+            offending.append((u, v))
+            homomorphism = homomorphism and not same_a
+    return offending, homomorphism
+
+
+def random_bijection(rng: random.Random) -> SetBijection:
+    A = random_int_set(rng, lo=-6, hi=6, kmax=4)
+    k = len(A)
+    B = random_int_set(rng, lo=-6, hi=6, kmax=8)
+    while len(B) != k:
+        B = random_int_set(rng, lo=-6, hi=6, kmax=8)
+    perm = list(range(k))
+    rng.shuffle(perm)
+    return SetBijection(A, B, tuple(perm))
 
 
 class TestIsPhiIsomorphism:
@@ -71,20 +107,29 @@ class TestIsPhiIsomorphism:
 
     def test_matches_quadratic_oracle(self):
         rng = random.Random(7)
+        outcomes = set()
         for _ in range(40):
-            A = random_int_set(rng, lo=-6, hi=6, kmax=4)
-            k = len(A)
-            B = random_int_set(rng, lo=-6, hi=6, kmax=8)
-            while len(B) != k:
-                B = random_int_set(rng, lo=-6, hi=6, kmax=8)
-            perm = list(range(k))
-            rng.shuffle(perm)
-            f = SetBijection(A, B, tuple(perm))
+            f = random_bijection(rng)
+            k = len(f.domain)
+            # base-100 digits keep every coincidence on this domain forced
+            # by the form alone, so a map out of it is a homomorphism
+            spread = SetBijection(FiniteSet(100**i for i in range(k)), f.codomain, f.perm)
             form = random_form(rng, max_arity=2)
-            assert (
-                is_phi_isomorphism(form, f).is_isomorphism
-                == exhaustive_iso_oracle(form.coeffs, f)
-            )
+            for g in (f, spread):
+                verdict = is_phi_isomorphism(form, g)
+                assert verdict.is_isomorphism == exhaustive_iso_oracle(form.coeffs, g)
+                offending, homomorphism = quadratic_disagreements(form.coeffs, g)
+                assert verdict.is_isomorphism == (not offending)
+                assert verdict.is_homomorphism == homomorphism
+                outcomes.add((verdict.is_homomorphism, verdict.is_isomorphism))
+                if not offending:
+                    assert verdict.witness is None
+                    continue
+                # the witness offends, and no offending pair ends earlier
+                u, v = verdict.witness
+                assert (u, v) in offending
+                assert all(v <= w for _, w in offending)
+        assert outcomes == {(False, False), (True, False), (True, True)}
 
     def test_inverse_symmetry(self):
         rng = random.Random(13)
@@ -167,6 +212,34 @@ class TestInducedBijection:
         f = SetBijection.by_order(FiniteSet([0, 1, 2]), FiniteSet([0, 1, 3]))
         with pytest.raises(ValueError, match="not an isomorphism"):
             induced_bijection(SUM_FORM, f)
+        rng = random.Random(37)
+        rejected = 0
+        while rejected < 30:
+            f = random_bijection(rng)
+            form = random_form(rng, max_arity=2)
+            verdict = is_phi_isomorphism(form, f)
+            if verdict.is_isomorphism:
+                continue
+            message = re.escape(f"not an isomorphism (witness {verdict.witness})")
+            with pytest.raises(ValueError, match=message):
+                induced_bijection(form, f)
+            rejected += 1
+
+    def test_builds_each_value_table_once(self, monkeypatch):
+        calls = []
+
+        def counting_value_table(form, elements):
+            calls.append(len(elements))
+            return value_table(form, elements)
+
+        def no_form_image(*args):
+            raise AssertionError("induced_bijection must not call form_image")
+
+        monkeypatch.setattr(isomorphism, "value_table", counting_value_table)
+        monkeypatch.setattr(isomorphism, "form_image", no_form_image)
+        F = induced_bijection(SUM_FORM, reflection_bijection())
+        assert calls == [8, 8]
+        assert len(F) == 26
 
 
 class TestSignedTransfer:

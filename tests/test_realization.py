@@ -157,6 +157,13 @@ class TestRealizeDirichlet:
         assert len(r.B) == 3 and r.B.min() >= 1
         assert abs(r.params.thetas[-1]) < float(r.params.epsilon)
 
+    def test_q_found_beyond_a_block(self):
+        # for every q < p some residual of q * j/p is at least 1/p, which
+        # exceeds epsilon, so the scan must cross the 2^18 block boundary
+        p = (1 << 18) + 3
+        A = FiniteSet([0, Fraction(1, p), Fraction(2, p)])
+        assert realize_dirichlet(A, SUM_FORM).params.q == p
+
     def test_singleton_returns_one(self):
         rt2 = BASIS_SQRT2.unit("sqrt2")
         r = realize_dirichlet(FiniteSet([rt2]), SUM_FORM)

@@ -169,6 +169,12 @@ class TestEnumerateMstd:
             SearchConfig(max_diameter=0)
         with pytest.raises(BudgetExceededError):
             SearchConfig(max_diameter=64)
+        # 2^31 nodes exceed the budget; 2^30 is allowed (constructing the
+        # config starts no walk)
+        with pytest.raises(BudgetExceededError, match="node budget"):
+            SearchConfig(max_diameter=31)
+        assert SearchConfig(max_diameter=30).max_diameter == 30
+        assert 1 << 30 == search.NODE_BUDGET
 
 
 class TestTripleFormScan:
