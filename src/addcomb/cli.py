@@ -28,7 +28,6 @@ from .search import (
     SearchConfig,
     default_jobs,
     enumerate_mstd,
-    mask_of,
     sum_diff_counts,
     triple_form_scan,
 )
@@ -78,10 +77,10 @@ def _load_bijection(args, A: FiniteSet, B: FiniteSet) -> SetBijection:
             line = raw.split("#")[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise SetFormatError("pairing line must be two 1-based indices", lineno)
-            i, j = (int(p) for p in parts)
+            try:
+                i, j = map(int, line.split())
+            except ValueError:
+                raise SetFormatError("pairing line must be two 1-based indices", lineno) from None
             if not (1 <= i <= len(A) and 1 <= j <= len(B)):
                 raise SetFormatError(f"index pair {i} {j} out of range", lineno)
             pairs.append((A.elements[i - 1], B.elements[j - 1]))
@@ -153,13 +152,13 @@ def _cmd_search(args) -> int:
         require_endpoints=args.require_endpoints,
     )
     t0 = time.perf_counter()
+    jobs = default_jobs() if args.jobs is None else args.jobs
     if args.mode == "mstd":
-        jobs = default_jobs() if args.jobs is None else args.jobs
         for cs in enumerate_mstd(cfg, jobs=jobs):
-            s, d = sum_diff_counts(mask_of(cs.elements))
+            s, d = sum_diff_counts(cs.bits)
             print(f"{cs}\t{s}\t{d}")
     else:
-        for cs, c1, c2 in triple_form_scan(cfg, report_equal=args.report_equal):
+        for cs, c1, c2 in triple_form_scan(cfg, report_equal=args.report_equal, jobs=jobs):
             print(f"{cs}\t{c1}\t{c2}")
     if args.stats:
         dt = time.perf_counter() - t0

@@ -64,7 +64,10 @@ class SetBijection:
     @classmethod
     def from_pairs(cls, A: FiniteSet, B: FiniteSet, pairs) -> "SetBijection":
         mapping = dict(pairs)
-        return cls.from_function(A, B, lambda a: mapping[a])
+        for a in A:
+            if a not in mapping:
+                raise ValueError(f"{a} has no image in the pairing")
+        return cls.from_function(A, B, mapping.__getitem__)
 
     def __call__(self, a) -> Scalar:
         i = self.domain.elements.index(a)

@@ -29,6 +29,9 @@ from .isomorphism import IsoVerdict, SetBijection, is_phi_isomorphism
 from .model import FiniteSet, LinearForm, clear_denominators
 from .simplex import feasible_point
 
+#: hard ceiling on k^2h, the ordered tuple pairs realize_lp orders
+PAIR_BUDGET = 10**6
+
 
 def _exact_int(x) -> int:
     if isinstance(x, int):
@@ -252,11 +255,7 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
     )
 
 
-def realize_lp(
-    A: FiniteSet,
-    form: LinearForm,
-    pair_budget: int = 10**6,
-) -> RealizationResult:
+def realize_lp(A: FiniteSet, form: LinearForm) -> RealizationResult:
     """Solve the coincidence-order constraint system exactly.
 
     Every ordered pair of index tuples contributes an equation (values equal
@@ -269,9 +268,9 @@ def realize_lp(
     """
     k = len(A)
     h = form.arity
-    if k ** (2 * h) > pair_budget:
+    if k ** (2 * h) > PAIR_BUDGET:
         raise BudgetExceededError(
-            f"k^2h = {k}^{2 * h} exceeds the constraint budget {pair_budget}"
+            f"k^2h = {k}^{2 * h} exceeds the constraint budget {PAIR_BUDGET}"
         )
     iform, _ = clear_denominators(form)
     coeffs = iform.coeffs

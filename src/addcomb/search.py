@@ -2,17 +2,19 @@
 
 A set lives in one Python int: bit a set means a is an element. Sumsets and
 difference sets come from shift-or convolution, cardinalities from popcount.
-The enumerator walks subsets containing 0 depth-first, maintaining the
-sumset and the nonnegative half of the difference set incrementally, so
-each of the 2^n nodes costs a handful of word operations.
+Both scans walk the subsets containing 0 depth-first under one driver,
+`_scan`: `_mstd_chunk` keeps A+A and the nonnegative half of A-A, and
+`_triple_chunk` also keeps 3A, A-A and 2A-A, so each of the 2^n nodes costs
+a handful of word operations.
 
 The reflection trick: rmask keeps the elements mirrored at fixed width n,
 so when element a joins, the new differences {a - a' : a' in A} are one
-right-shift of rmask. No per-element inner loop.
+shift of rmask. No per-element inner loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -20,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
+from .images import symmetry_center
 from .model import FiniteSet
 
 JOBS_ENV_VAR = "ADDCOMB_JOBS"
@@ -117,17 +120,6 @@ def sum_diff_counts(mask: int) -> tuple[int, int]:
     return sums.bit_count(), 2 * diffs.bit_count() - 1
 
 
-def is_symmetric_mask(mask: int) -> bool:
-    hi = mask.bit_length() - 1
-    r = 0
-    m = mask
-    while m:
-        low = m & -m
-        r |= 1 << (hi - (low.bit_length() - 1))
-        m ^= low
-    return r == mask
-
-
 def _canonical_tuple(els: tuple) -> tuple:
     base = els[0]
     t = tuple(e - base for e in els)
@@ -147,20 +139,9 @@ def normalize_affine(A: FiniteSet) -> CanonicalSet:
     return CanonicalSet(mask_of(_canonical_tuple(A.elements)))
 
 
-def _canonical_mask(mask: int) -> int:
-    return mask_of(_canonical_tuple(mask_elements(mask)))
-
-
-def _passes_filters(mask: int, cfg: SearchConfig) -> bool:
-    if cfg.require_endpoints and not (mask >> cfg.max_diameter) & 1:
-        return False
-    if cfg.size_filter is not None and mask.bit_count() != cfg.size_filter:
-        return False
-    return True
-
-
 def _mstd_chunk(args) -> list:
-    """Worker: every MSTD set whose smallest element above 0 is `first`.
+    """Worker: every MSTD set whose smallest element above 0 is `first`,
+    as (mask, |A+A|, |A-A|).
 
     A depth-first walk from {0}: a frame (lo, hi, mask, rmask, sumb, dpos)
     adds each element a in lo..hi-1 to its set in turn. The root frame adds
@@ -181,78 +162,96 @@ def _mstd_chunk(args) -> list:
             s2 = sumb | (mask << a) | (1 << (a + a))
             d2 = dpos | (rmask >> (n - a))
             if s2.bit_count() > 2 * d2.bit_count() - 1:
-                emit(m2)
+                emit((m2, s2.bit_count(), 2 * d2.bit_count() - 1))
             if a < n:
                 push((a + 1, top, m2, rmask | (1 << (n - a)), s2, d2))
     return hits
 
 
-def enumerate_mstd(cfg: SearchConfig, jobs: int | None = None) -> list[CanonicalSet]:
-    """All canonical sets of diameter <= n with |A+A| > |A-A|, deduplicated
-    per affine class and sorted lexicographically. The walk finds every
-    MSTD subset of {0..n} containing 0; the filters then apply to those
+def _triple_chunk(args) -> list:
+    """Worker: the same walk as _mstd_chunk, emitting (mask, |3A|, |2A-A|)
+    for every set with |3A| > |2A-A|, or with equality under report_equal.
+
+    A frame also carries 3A, and A-A and 2A-A shifted up by n so that no
+    bit goes negative. With a above every element of A:
+    A'-A' = A-A | (a-A) | (A-a) and 2A'-A' = 2A-A | (A'-A')+a | 2A'-a.
+    """
+    n, first, report_equal = args
+    top = n + 1
+    hits = []
+    emit = hits.append
+    stack = [(first, first + 1, 1, 1 << n, 1, 1, 1 << n, 1 << n)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        lo, hi, mask, rmask, sumb, sum3, dsh, tsh = pop()
+        for a in range(lo, hi):
+            m2 = mask | (1 << a)
+            s2 = sumb | (mask << a) | (1 << (a + a))
+            s3 = sum3 | (s2 << a)
+            d2 = dsh | (rmask << a) | ((mask << n) >> a)
+            t2 = tsh | (d2 << a) | ((s2 << n) >> a)
+            c1 = s3.bit_count()
+            c2 = t2.bit_count()
+            if (c1 == c2) if report_equal else (c1 > c2):
+                emit((m2, c1, c2))
+            if a < n:
+                push((a + 1, top, m2, rmask | (1 << (n - a)), s2, s3, d2, t2))
+    return hits
+
+
+def _scan(cfg: SearchConfig, chunk, jobs: int | None, extra=(), roots=()) -> list:
+    """Run `chunk` over one task per first element above 0 and return the
+    sorted canonical classes of its hits, and of the root hits `roots` (the
+    set {0} is in no task), as (class, c1, c2). The filters apply to the raw
     hits only, and a set and its mirror image share one canonical class."""
     n = cfg.max_diameter
     if jobs is None:
         jobs = default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
-    # the root set {0} alone is never MSTD; each task holds one first element
-    tasks = [(n, first) for first in range(1, n + 1)]
+    tasks = [(n, first, *extra) for first in range(1, n + 1)]
     workers = worker_count(jobs, len(tasks), usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_mstd_chunk, tasks))
+            chunks = list(pool.map(chunk, tasks))
     else:
-        chunks = map(_mstd_chunk, tasks)
-    canon = {
-        _canonical_mask(m) for chunk in chunks for m in chunk if _passes_filters(m, cfg)
-    }
-    return [CanonicalSet(m) for m in sorted(canon, key=mask_elements)]
+        chunks = map(chunk, tasks)
+    size, endpoint = cfg.size_filter, 1 << n if cfg.require_endpoints else 0
+    found: dict = {}
+    for hits in itertools.chain([roots], chunks):
+        for mask, c1, c2 in hits:
+            if (size is None or mask.bit_count() == size) and mask & endpoint == endpoint:
+                found.setdefault(mask_of(_canonical_tuple(mask_elements(mask))), (c1, c2))
+    return [(CanonicalSet(m), *found[m]) for m in sorted(found, key=mask_elements)]
+
+
+def enumerate_mstd(cfg: SearchConfig, jobs: int | None = None) -> list[CanonicalSet]:
+    """All canonical sets of diameter <= n with |A+A| > |A-A|, deduplicated
+    per affine class and sorted lexicographically. The root set {0} alone
+    is never MSTD."""
+    return [cs for cs, _, _ in _scan(cfg, _mstd_chunk, jobs)]
 
 
 def triple_form_scan(
-    cfg: SearchConfig, report_equal: bool = False
+    cfg: SearchConfig, report_equal: bool = False, jobs: int | None = None
 ) -> list[tuple[CanonicalSet, int, int]]:
     """Scan for |A+A+A| > |A+A-A| within diameter n.
 
     Emits (canonical set, triple-sum count, mixed count). A symmetric set can
-    never be emitted; that is asserted on every hit. With report_equal the
-    equality cases are returned instead.
+    never be emitted; that is asserted on every class. With report_equal the
+    equality cases are returned instead, the root set {0} (1 = 1) among them.
     """
-    n = cfg.max_diameter
-    found: dict = {}
-    for mask in range(1, 1 << (n + 1), 2):
-        if not _passes_filters(mask, cfg):
-            continue
-        els = mask_elements(mask)
-        sum2 = 0
-        for a in els:
-            sum2 |= mask << a
-        s3 = 0
-        d3 = 0
-        for a in els:
-            s3 |= sum2 << a
-            d3 |= sum2 << (n - a)
-        c1 = s3.bit_count()
-        c2 = d3.bit_count()
-        if report_equal:
-            if c1 != c2:
-                continue
-        else:
-            if c1 <= c2:
-                continue
-            if is_symmetric_mask(mask):
-                raise AssertionError(
-                    f"symmetric set {els} emitted with {c1} > {c2}; "
-                    "this contradicts the sign-flip lemma"
-                )
-        cm = _canonical_mask(mask)
-        found.setdefault(cm, (c1, c2))
-    return [
-        (CanonicalSet(m), found[m][0], found[m][1])
-        for m in sorted(found, key=mask_elements)
-    ]
+    if report_equal:
+        return _scan(cfg, _triple_chunk, jobs, (True,), roots=[(1, 1, 1)])
+    out = _scan(cfg, _triple_chunk, jobs, (False,))
+    for cs, c1, c2 in out:
+        if symmetry_center(cs.to_finite_set()).present:
+            raise AssertionError(
+                f"symmetric set {cs.elements} emitted with {c1} > {c2}; "
+                "this contradicts the sign-flip lemma"
+            )
+    return out
 
 
 def random_symmetric_set(seed: int, n: int, k: int) -> FiniteSet:

@@ -82,6 +82,32 @@ def test_iso_check_failure_has_witness(capsys, tmp_path):
     assert "witness" in out
 
 
+def test_iso_check_pairing_missing_an_element_exit_code(capsys, tmp_path):
+    a = tmp_path / "a.set"
+    a.write_text("0\n1\n2\n")
+    pairing = tmp_path / "map.txt"
+    argv = ("iso-check", "--form", "1,1", "--map", str(pairing), str(a), str(a))
+    for text, missing in (("1 1\n", "1 has no image"), ("", "0 has no image")):
+        pairing.write_text(text)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert missing in err
+
+
+def test_iso_check_pairing_non_integer_exit_code(capsys, tmp_path):
+    a = tmp_path / "a.set"
+    a.write_text("0\n1\n2\n")
+    pairing = tmp_path / "map.txt"
+    pairing.write_text("# comment\n1 x\n")
+    argv = ("iso-check", "--form", "1,1", "--map", str(pairing), str(a), str(a))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 2:") and err.count("\n") == 1
+
+
 def test_classify8(capsys, m8, refl):
     code, out, _ = run(capsys, "classify8", m8)
     assert (code, out) == (0, "lambda=1 mu=0 matched=canonical\n")
@@ -183,6 +209,13 @@ def test_search_jobs_below_one_exit_code(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_search_triple_jobs_below_one_exit_code(capsys):
+    code, out, err = run(capsys, "search", "triple", "--max-diameter", "6", "--jobs", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_search_diameter_over_node_budget_exit_code(capsys):

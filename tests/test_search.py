@@ -19,7 +19,6 @@ from addcomb import (
 )
 from addcomb import search
 from addcomb.search import (
-    is_symmetric_mask,
     mask_elements,
     mask_of,
     sum_diff_counts,
@@ -129,6 +128,9 @@ class TestEnumerateMstd:
         single = [c.elements for c in enumerate_mstd(cfg, jobs=1)]
         double = [c.elements for c in enumerate_mstd(cfg, jobs=2)]
         assert single == double
+        single = [(c.elements, a, b) for c, a, b in triple_form_scan(cfg, True, jobs=1)]
+        double = [(c.elements, a, b) for c, a, b in triple_form_scan(cfg, True, jobs=2)]
+        assert single == double
 
     def test_endpoint_filter(self):
         out = enumerate_mstd(SearchConfig(max_diameter=15, require_endpoints=True))
@@ -163,6 +165,9 @@ class TestEnumerateMstd:
         cfg = SearchConfig(max_diameter=14)
         assert enumerate_mstd(cfg) == enumerate_mstd(cfg, jobs=1)
         assert started == [3]
+        cfg = SearchConfig(max_diameter=10)
+        assert triple_form_scan(cfg, True) == triple_form_scan(cfg, True, jobs=1)
+        assert started == [3, 3]
 
     def test_diameter_bounds(self):
         with pytest.raises(BudgetExceededError):
@@ -210,6 +215,28 @@ class TestTripleFormScan:
                     expected[key] = (len(triple), len(mixed))
             assert hits == expected, f"diameter {n}"
 
+    def test_report_equal_oracle_equivalence(self):
+        # strict hits first appear beyond diameter 20, so only the equality
+        # cases give the counts and filters something to act on
+        for n in range(1, 11):
+            equal = []
+            for mask in range(1, 1 << (n + 1), 2):
+                els = mask_elements(mask)
+                triple = len({a + b + c for a in els for b in els for c in els})
+                mixed = len({a + b - c for a in els for b in els for c in els})
+                if triple == mixed:
+                    equal.append((els, triple, mixed))
+            for size, endpoints in itertools.product((None, 1, 3, 5), (False, True)):
+                cfg = SearchConfig(max_diameter=n, size_filter=size, require_endpoints=endpoints)
+                found = [(c.elements, a, b) for c, a, b in triple_form_scan(cfg, True)]
+                expected = {
+                    normalize_affine(FiniteSet(els)).elements: (triple, mixed)
+                    for els, triple, mixed in equal
+                    if (size is None or len(els) == size) and (not endpoints or els[-1] == n)
+                }
+                where = f"diameter {n}, size {size}, endpoints {endpoints}"
+                assert found == sorted((k, *v) for k, v in expected.items()), where
+
     def test_report_equal_contains_progressions(self):
         hits = triple_form_scan(SearchConfig(max_diameter=4), report_equal=True)
         keys = {c.elements for c, _, _ in hits}
@@ -219,9 +246,9 @@ class TestTripleFormScan:
 
     def test_symmetric_sets_always_have_equal_counts(self):
         for mask in range(1, 1 << 9, 2):
-            if not is_symmetric_mask(mask):
-                continue
             els = mask_elements(mask)
+            if not symmetry_center(FiniteSet(els)).present:
+                continue
             triple = {a + b + c for a in els for b in els for c in els}
             mixed = {a + b - c for a in els for b in els for c in els}
             assert len(triple) == len(mixed)
