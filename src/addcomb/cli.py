@@ -71,7 +71,7 @@ def _cmd_mstd(args) -> int:
 def _load_bijection(args, A: FiniteSet, B: FiniteSet) -> SetBijection:
     if args.map == "order":
         return SetBijection.by_order(A, B)
-    pairs = []
+    pairs = {}
     with open(args.map, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#")[0].strip()
@@ -83,8 +83,10 @@ def _load_bijection(args, A: FiniteSet, B: FiniteSet) -> SetBijection:
                 raise SetFormatError("pairing line must be two 1-based indices", lineno) from None
             if not (1 <= i <= len(A) and 1 <= j <= len(B)):
                 raise SetFormatError(f"index pair {i} {j} out of range", lineno)
-            pairs.append((A.elements[i - 1], B.elements[j - 1]))
-    return SetBijection.from_pairs(A, B, pairs)
+            if A.elements[i - 1] in pairs:
+                raise SetFormatError(f"index {i} of the first set is paired twice", lineno)
+            pairs[A.elements[i - 1]] = B.elements[j - 1]
+    return SetBijection.from_pairs(A, B, pairs.items())
 
 
 def _cmd_iso_check(args) -> int:

@@ -108,6 +108,18 @@ def test_iso_check_pairing_non_integer_exit_code(capsys, tmp_path):
     assert err.startswith("error: line 2:") and err.count("\n") == 1
 
 
+def test_iso_check_pairing_repeated_index_exit_code(capsys, tmp_path):
+    a = tmp_path / "a.set"
+    a.write_text("0\n1\n3\n")
+    pairing = tmp_path / "map.txt"
+    pairing.write_text("1 1\n1 2\n2 3\n3 1\n")
+    argv = ("iso-check", "--form", "1,1", "--map", str(pairing), str(a), str(a))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 2:") and err.count("\n") == 1
+
+
 def test_classify8(capsys, m8, refl):
     code, out, _ = run(capsys, "classify8", m8)
     assert (code, out) == (0, "lambda=1 mu=0 matched=canonical\n")
@@ -216,6 +228,17 @@ def test_search_triple_jobs_below_one_exit_code(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_search_bad_jobs_environment_exit_code(capsys, monkeypatch):
+    for value in ("0", "-2", "two"):
+        monkeypatch.setenv("ADDCOMB_JOBS", value)
+        for mode in ("mstd", "triple"):
+            code, out, err = run(capsys, "search", mode, "--max-diameter", "6")
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "ADDCOMB_JOBS" in err
 
 
 def test_search_diameter_over_node_budget_exit_code(capsys):

@@ -123,7 +123,8 @@ class TestEnumerateMstd:
         for c in enumerate_mstd(SearchConfig(max_diameter=15)):
             assert is_mstd(c.to_finite_set()).is_mstd
 
-    def test_worker_count_does_not_change_output(self):
+    def test_worker_count_does_not_change_output(self, monkeypatch):
+        monkeypatch.setattr(search, "SUFFIX_LEVELS", 10)  # 8 tasks, so a pool starts
         cfg = SearchConfig(max_diameter=13)
         single = [c.elements for c in enumerate_mstd(cfg, jobs=1)]
         double = [c.elements for c in enumerate_mstd(cfg, jobs=2)]
@@ -157,8 +158,11 @@ class TestEnumerateMstd:
             def __exit__(self, *exc):
                 return False
 
-            map = staticmethod(map)
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
 
+        # 64 tasks at diameter 14 and 4 at diameter 10, so the cap is the CPUs
+        monkeypatch.setattr(search, "SUFFIX_LEVELS", 8)
         monkeypatch.setenv(search.JOBS_ENV_VAR, "100000")
         monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(search, "usable_cpus", lambda: 3)
@@ -180,6 +184,56 @@ class TestEnumerateMstd:
             SearchConfig(max_diameter=31)
         assert SearchConfig(max_diameter=30).max_diameter == 30
         assert 1 << 30 == search.NODE_BUDGET
+
+
+def set_counts(n: int) -> list:
+    """(elements, |A+A|, |A-A|, |3A|, |2A-A|) for every subset of {0..n}
+    containing 0, by set comprehension."""
+    out = []
+    for mask in range(1, 1 << (n + 1), 2):
+        els = mask_elements(mask)
+        sums = {a + b for a in els for b in els}
+        diffs = {a - b for a in els for b in els}
+        triple = {s + c for s in sums for c in els}
+        mixed = {s - c for s in sums for c in els}
+        out.append((els, len(sums), len(diffs), len(triple), len(mixed)))
+    return out
+
+
+class TestPrefixTasks:
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_oracle_equivalence_over_many_tasks(self, monkeypatch, levels):
+        # every diameter here splits into 2^(n - levels) prefix tasks; MSTD
+        # sets first appear at diameter 14
+        monkeypatch.setattr(search, "SUFFIX_LEVELS", levels)
+        for n in (*range(levels + 1, 13), 14):
+            counts = set_counts(n)
+            cfg = SearchConfig(max_diameter=n)
+            mstd = {normalize_affine(FiniteSet(els)).elements for els, s, d, _, _ in counts if s > d}
+            assert [c.elements for c in enumerate_mstd(cfg, jobs=1)] == sorted(mstd), n
+            for report_equal in (False, True):
+                expected = {
+                    normalize_affine(FiniteSet(els)).elements: (t, m)
+                    for els, _, _, t, m in counts
+                    if (t == m if report_equal else t > m)
+                }
+                found = [(c.elements, a, b) for c, a, b in triple_form_scan(cfg, report_equal, jobs=1)]
+                assert found == sorted((k, *v) for k, v in expected.items()), (n, report_equal)
+
+    def test_top_bits_at_diameter_thirty(self):
+        # the prefix {0} | P is the 8-element MSTD set, so the task's hits
+        # include sets with element 30, whose A+A reaches bit 60
+        n, p = 30, 16
+        prefix = mask_of(CANONICAL_MSTD8.elements[1:])
+        expected = []
+        for suffix in range(1 << (n - p)):
+            mask = 1 | prefix | suffix << (p + 1)
+            s, d = sum_diff_counts(mask)
+            if s > d:
+                expected.append((mask, s, d))
+        hits = sorted(search._mstd_chunk((n, p, prefix)))
+        assert hits == expected
+        assert any(mask >> n for mask, _, _ in hits)
 
 
 class TestTripleFormScan:
