@@ -1,10 +1,11 @@
 """Scanning every small set for more-sums-than-differences behavior.
 
 Sets inside {0..n} live in single machine words: bit a set means a is an
-element. The scanner walks all subsets containing 0 depth-first, updating
-the sumset and difference bitsets incrementally, then folds each hit onto
-one canonical representative per affine class (min 0, gcd 1, not above its
-own reflection).
+element. The scanner builds all subsets containing 0 level by level in
+numpy arrays, one element at a time, updating the sumset and difference
+bitsets incrementally, then folds each hit onto one canonical
+representative per affine class (min 0, gcd 1, not above its own
+reflection).
 """
 
 import time

@@ -5,12 +5,11 @@ difference sets come from shift-or convolution, cardinalities from popcount.
 
 Both scans split the 2^n subsets containing 0 into 2^p prefix tasks of equal
 size, p = max(0, n - SUFFIX_LEVELS): task P starts from the root {0} | P,
-P a subset of {1..p}, and extends it over {p+1..n}. One driver, `_scan`,
-builds the tasks, hands them to the pool and dedups the hits.
-`_mstd_chunk` expands a task level-wise over uint64 arrays of masks, A+A and
-the nonnegative half of A-A, doubling them once per element; `_triple_chunk`
-also needs 3A, A-A and 2A-A, too wide for a word, and walks its task
-depth-first over Python ints.
+P a subset of {1..p}, and extends it over {p+1..n}. One array kernel,
+`_chunk`, serves both: it doubles uint64 arrays once per element and tests
+every set with a vectorised popcount, keeping 3A and 2A-A (up to 3n+1
+bits) in two words each. `_task_hits` hands the tasks to a process pool
+when the scan is large enough to repay one; `_scan` dedups the hits.
 
 The reflection trick: rmask keeps the elements mirrored at fixed width n,
 so when element a joins, the new differences {a - a' : a' in A} are one
@@ -22,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -52,12 +52,21 @@ def usable_cpus() -> int:
 
 def worker_count(jobs: int, tasks: int, cpus: int) -> int:
     """Processes worth starting: a pool starts all of its workers at once,
-    so never more than there are tasks or CPUs to run them."""
+    so never more than there are tasks or CPUs to run them.
+
+    Below POOL_NODES a scan starts no pool. scripts/pool_break_even.py on 2
+    vCPUs, medians of 5 runs, one job vs a pool of two: MSTD at diameter 23
+    0.15-0.18 vs 0.14-0.19 s (pool faster in 2 of 4 invocations), at 24
+    0.24-0.42 vs 0.19-0.27 s (3 of 3); triple at 21 0.07-0.11 vs 0.05-0.13 s
+    (3 of 4), at 22 (4 of 4). From 2^23 nodes a pool loses neither scan."""
     return min(jobs, tasks, cpus)
 
 
 #: the most nodes a scan may visit; a scan at diameter n visits 2^n
 NODE_BUDGET = 1 << 30
+
+#: the fewest nodes, 2^n at diameter n, for which a scan starts a pool
+POOL_NODES = 1 << 23
 
 #: elements a scan task chooses freely: at diameter n a task covers the
 #: 2^(n-p) extensions of one prefix P of {1..p}, p = max(0, n - SUFFIX_LEVELS)
@@ -154,7 +163,7 @@ def normalize_affine(A: FiniteSet) -> CanonicalSet:
 def _root(n: int, prefix: int) -> tuple:
     """The task root {0} | P, P given by the mask `prefix`, as (mask, rmask,
     A+A, 3A, A-A << n, 2A-A << n), folded in one element at a time by the
-    same updates as the walk."""
+    same updates as the kernel's levels."""
     mask, rmask, sumb, sum3, dsh, tsh = 1, 1 << n, 1, 1, 1 << n, 1 << n
     for a in mask_elements(prefix):
         sumb |= (mask << a) | (1 << (a + a))
@@ -166,109 +175,89 @@ def _root(n: int, prefix: int) -> tuple:
     return mask, rmask, sumb, sum3, dsh, tsh
 
 
-def _mstd_chunk(args) -> list:
-    """Worker: every MSTD set {0} | P | S with S a subset of {p+1..n}, as
-    (mask, |A+A|, |A-A|).
+def _chunk(args) -> list:
+    """Worker: the hits of one prefix task as (mask, c1, c2), Python ints.
 
-    Level-wise over uint64 arrays: after element b, the upper half of each
-    array holds the lower half's sets with b added, so all 2^(n-p) sets of
-    the task are built with a few array operations per level. A+A has at
-    most 2n+1 <= 61 bits, as NODE_BUDGET keeps n <= 30.
+    Level-wise over uint64 rows: after element b, the upper half of each row
+    holds the lower half's sets with b added. Rows: mask, mirrored mask, A+A
+    and the nonnegative half of (A-A) << n, at most 2n+1 <= 61 bits as
+    NODE_BUDGET keeps n <= 30. Scan "mstd" hits |A+A| > |A-A|; "triple" and
+    "equal" hit |3A| > or = |2A-A|, adding the negative half of A-A, and 3A
+    and (2A-A) << n in a low and a high word, exact to 3n+1 <= 91 bits. With
+    b above every element of A, A'-A' = A-A | (b-A) | (A-b), 3A' = 3A | 2A'+b
+    and 2A'-A' = 2A-A | (A'-A')+b | 2A'-b, whose term 2A'-b tops out at bit
+    n+b <= 60, in the low word. Filters apply in the hit test.
     """
-    n, p, prefix = args
-    mask, sums, dpos, rmask = (np.empty(1 << (n - p), np.uint64) for _ in range(4))
-    m, r, s, _, d, _ = _root(n, prefix)
-    mask[0], rmask[0], sums[0], dpos[0] = m, r, s, d >> n
-    k = 1
+    cfg, scan, p, prefix = args
+    n, triple = cfg.max_diameter, scan != "mstd"
+    m, r, s, s3, d, t = _root(n, prefix)
+    # "mstd" keeps the nonnegative half of A-A: bits n and up
+    root = [m, r, s, d >> n << n]
+    if triple:  # rows 4, 5: low words of 3A, (2A-A) << n; rows 6, 7: high words
+        root[3:] = [d, *(x & ((1 << 64) - 1) for x in (s3, t)), s3 >> 64, t >> 64]
+    arrays = np.empty((len(root), 1 << (n - p)), np.uint64)
+    arrays[:, 0] = root
+    mask, rmask, sums, diffs = arrays[:4]
     for b in range(p + 1, n + 1):
-        lo, hi = slice(0, k), slice(k, 2 * k)
-        np.left_shift(mask[lo], b, out=sums[hi])
-        sums[hi] |= sums[lo]
-        sums[hi] |= 1 << (b + b)
-        np.right_shift(rmask[lo], n - b, out=dpos[hi])
-        dpos[hi] |= dpos[lo]
-        np.bitwise_or(mask[lo], 1 << b, out=mask[hi])
-        np.bitwise_or(rmask[lo], 1 << (n - b), out=rmask[hi])
-        k *= 2
-    # |A+A| > |A-A| = 2|dpos| - 1, in uint8: both counts are at most 61
-    c1 = np.bitwise_count(sums)
-    c2 = np.bitwise_count(dpos)
-    hit = np.flatnonzero(c1 >= 2 * c2)
-    return [
-        (m, s, 2 * d - 1)
-        for m, s, d in zip(mask[hit].tolist(), c1[hit].tolist(), c2[hit].tolist())
-    ]
+        k = 1 << (b - p - 1)
+        old, new = slice(0, k), slice(k, 2 * k)
+        # A+A gains b+A and (A-A) << n gains (b-A) << n: mask, rmask shifted by b
+        np.left_shift(arrays[:2, old], b, out=arrays[2:4, new])
+        arrays[2:4, new] |= arrays[2:4, old]
+        sums[new] |= 1 << (b + b)
+        if triple:
+            diffs[new] |= mask[old] << (n - b)
+            # 3A gains 2A'+b, and (2A-A) << n gains ((A'-A') << n)+b and 2A'-b
+            np.bitwise_or(arrays[4:6, old], arrays[2:4, new] << b, out=arrays[4:6, new])
+            np.bitwise_or(arrays[6:, old], arrays[2:4, new] >> (64 - b), out=arrays[6:, new])
+            arrays[5, new] |= sums[new] << (n - b)
+        np.bitwise_or(mask[old], 1 << b, out=mask[new])
+        np.bitwise_or(rmask[old], 1 << (n - b), out=rmask[new])
+    # the last level adds n, so the sets holding it fill the upper half
+    first = k if cfg.require_endpoints else 0
+    count = np.bitwise_count(arrays[4:, first:] if triple else arrays[2:4, first:])
+    if triple:
+        c1, c2 = count[:2] + count[2:]  # uint8: no count passes 91
+        ok = c1 == c2 if scan == "equal" else c1 > c2
+    else:
+        c1, c2 = count[0], 2 * count[1] - 1  # A-A mirrors its nonnegative half
+        ok = c1 > c2
+    if cfg.size_filter is not None:
+        ok &= np.bitwise_count(mask[first:]) == cfg.size_filter
+    hit = np.flatnonzero(ok)
+    return list(zip(mask[first:][hit].tolist(), c1[hit].tolist(), c2[hit].tolist()))
 
 
-def _triple_chunk(args) -> list:
-    """Worker: the sets of one task as in _mstd_chunk, walked depth-first,
-    emitting (mask, |3A|, |2A-A|) for every set with |3A| > |2A-A|, or with
-    equality under report_equal. 3A needs up to 3n+1 bits, so no array.
-
-    A frame (lo, hi, mask, rmask, A+A, 3A, A-A << n, 2A-A << n) adds each
-    element a in lo..hi-1 to its set in turn; none is pushed once a = n
-    leaves nothing to add. With a above every element of A:
-    A'-A' = A-A | (a-A) | (A-a) and 2A'-A' = 2A-A | (A'-A')+a | 2A'-a.
-    """
-    n, p, prefix, report_equal = args
-    top = n + 1
-    root = _root(n, prefix)
-    c1 = root[3].bit_count()
-    c2 = root[5].bit_count()
-    hits = [(root[0], c1, c2)] if ((c1 == c2) if report_equal else (c1 > c2)) else []
-    emit = hits.append
-    stack = [(p + 1, top, *root)]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        lo, hi, mask, rmask, sumb, sum3, dsh, tsh = pop()
-        for a in range(lo, hi):
-            m2 = mask | (1 << a)
-            s2 = sumb | (mask << a) | (1 << (a + a))
-            s3 = sum3 | (s2 << a)
-            d2 = dsh | (rmask << a) | ((mask << n) >> a)
-            t2 = tsh | (d2 << a) | ((s2 << n) >> a)
-            c1 = s3.bit_count()
-            c2 = t2.bit_count()
-            if (c1 == c2) if report_equal else (c1 > c2):
-                emit((m2, c1, c2))
-            if a < n:
-                push((a + 1, top, m2, rmask | (1 << (n - a)), s2, s3, d2, t2))
-    return hits
-
-
-def _scan(cfg: SearchConfig, chunk, jobs: int | None, extra=()) -> list:
-    """Run `chunk` over the 2^p prefix tasks, p = max(0, n - SUFFIX_LEVELS),
-    and return the sorted canonical classes of its hits as (class, c1, c2).
-    Task P covers the sets {0} | P | S, S a subset of {p+1..n}, so the tasks
-    are of equal size and P = {} holds the set {0}. The filters apply to
-    the raw hits only, and a set and its mirror image share one class."""
-    n = cfg.max_diameter
-    if jobs is None:
-        jobs = default_jobs()
+def _task_hits(cfg: SearchConfig, scan: str, jobs: int | None):
+    """The hits of `_chunk`, one list per prefix task: task P covers the sets
+    {0} | P | S, P a subset of {1..p}, p = max(0, n - SUFFIX_LEVELS), and S
+    of {p+1..n}, so the tasks are of equal size."""
+    n, jobs = cfg.max_diameter, default_jobs() if jobs is None else jobs
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     p = max(0, n - SUFFIX_LEVELS)
-    tasks = [(n, p, prefix << 1, *extra) for prefix in range(1 << p)]
-    workers = worker_count(jobs, len(tasks), usable_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(chunk, tasks, chunksize=-(-len(tasks) // workers)))
-    else:
-        chunks = map(chunk, tasks)
-    size, endpoint = cfg.size_filter, 1 << n if cfg.require_endpoints else 0
+    tasks = [(cfg, scan, p, prefix << 1) for prefix in range(1 << p)]
+    workers = worker_count(jobs, len(tasks), usable_cpus()) if 1 << n >= POOL_NODES else 1
+    if workers == 1:
+        return map(_chunk, tasks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_chunk, tasks, chunksize=-(-len(tasks) // workers)))
+
+
+def _scan(cfg: SearchConfig, scan: str, jobs: int | None) -> list:
+    """The sorted canonical classes of the scan's hits as (class, c1, c2):
+    a set and its mirror image share one class."""
     found: dict = {}
-    for hits in chunks:
+    for hits in _task_hits(cfg, scan, jobs):
         for mask, c1, c2 in hits:
-            if (size is None or mask.bit_count() == size) and mask & endpoint == endpoint:
-                found.setdefault(mask_of(_canonical_tuple(mask_elements(mask))), (c1, c2))
+            found.setdefault(mask_of(_canonical_tuple(mask_elements(mask))), (c1, c2))
     return [(CanonicalSet(m), *found[m]) for m in sorted(found, key=mask_elements)]
 
 
 def enumerate_mstd(cfg: SearchConfig, jobs: int | None = None) -> list[CanonicalSet]:
     """All canonical sets of diameter <= n with |A+A| > |A-A|, deduplicated
     per affine class and sorted lexicographically."""
-    return [cs for cs, _, _ in _scan(cfg, _mstd_chunk, jobs)]
+    return [cs for cs, _, _ in _scan(cfg, "mstd", jobs)]
 
 
 def triple_form_scan(
@@ -280,7 +269,7 @@ def triple_form_scan(
     never be emitted; that is asserted on every class. With report_equal the
     equality cases are returned instead, the root set {0} (1 = 1) among them.
     """
-    out = _scan(cfg, _triple_chunk, jobs, (report_equal,))
+    out = _scan(cfg, "equal" if report_equal else "triple", jobs)
     if report_equal:
         return out
     for cs, c1, c2 in out:
@@ -290,6 +279,17 @@ def triple_form_scan(
                 "this contradicts the sign-flip lemma"
             )
     return out
+
+
+def mstd_subset_counts(max_diameter: int) -> list[int]:
+    """Entry N counts the MSTD subsets of {0..N-1}, N <= max_diameter + 1.
+
+    Each is a translate of one raw hit of the MSTD scan, with min 0 and max
+    d < N, that {0..N-1} holds N - d times: entry N is the sum of (N - d) h_d,
+    h_d the number of raw hits with top bit d."""
+    hits = _task_hits(SearchConfig(max_diameter), "mstd", None)
+    tally = Counter(mask.bit_length() - 1 for task in hits for mask, _, _ in task)
+    return [sum((N - d) * h for d, h in tally.items() if d < N) for N in range(max_diameter + 2)]
 
 
 def random_symmetric_set(seed: int, n: int, k: int) -> FiniteSet:

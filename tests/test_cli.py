@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from addcomb import CertificateError
+from addcomb import CertificateError, search
 from addcomb.cli import main
 
 MSTD8 = "0\n2\n3\n4\n7\n11\n12\n14\n"
@@ -161,6 +163,20 @@ def test_search_mstd_golden(capsys):
     code, out, _ = run(capsys, "search", "mstd", "--max-diameter", "14")
     assert code == 0
     assert out == "0,1,2,4,5,9,12,13,14\t28\t27\n0,2,3,4,7,11,12,14\t26\t25\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_triple_report_equal_golden(capsys, monkeypatch, jobs):
+    # eight tasks, and a pool at this size too, so --jobs 2 starts two workers
+    monkeypatch.setattr(search, "SUFFIX_LEVELS", 11)
+    monkeypatch.setattr(search, "POOL_NODES", 1)
+    code, out, _ = run(
+        capsys, "search", "triple", "--max-diameter", "14", "--report-equal", "--jobs", jobs
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 1861
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "3ae7910a571409eb01e8d628b47307ecbd83ba28cdb5a2f2bee584fe554bcfd6"
 
 
 def test_search_stats_on_stderr(capsys):

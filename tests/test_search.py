@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from addcomb import (
     enumerate_mstd,
     form_image,
     is_mstd,
+    mstd_subset_counts,
     normalize_affine,
     random_symmetric_set,
     symmetry_center,
@@ -24,6 +26,29 @@ from addcomb.search import (
     sum_diff_counts,
     worker_count,
 )
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The worker counts of the pools the scans start; the fake pool maps
+    in-process."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    return started
 
 
 class TestMaskKernel:
@@ -125,6 +150,7 @@ class TestEnumerateMstd:
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
         monkeypatch.setattr(search, "SUFFIX_LEVELS", 10)  # 8 tasks, so a pool starts
+        monkeypatch.setattr(search, "POOL_NODES", 1)
         cfg = SearchConfig(max_diameter=13)
         single = [c.elements for c in enumerate_mstd(cfg, jobs=1)]
         double = [c.elements for c in enumerate_mstd(cfg, jobs=2)]
@@ -145,26 +171,12 @@ class TestEnumerateMstd:
         assert worker_count(4, 22, 8) == 4
         assert worker_count(1, 22, 8) == 1
 
-    def test_jobs_from_environment_go_through_the_cap(self, monkeypatch):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
+    def test_jobs_from_environment_go_through_the_cap(self, monkeypatch, started_pools):
+        started = started_pools
         # 64 tasks at diameter 14 and 4 at diameter 10, so the cap is the CPUs
         monkeypatch.setattr(search, "SUFFIX_LEVELS", 8)
+        monkeypatch.setattr(search, "POOL_NODES", 1)
         monkeypatch.setenv(search.JOBS_ENV_VAR, "100000")
-        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(search, "usable_cpus", lambda: 3)
         cfg = SearchConfig(max_diameter=14)
         assert enumerate_mstd(cfg) == enumerate_mstd(cfg, jobs=1)
@@ -172,6 +184,17 @@ class TestEnumerateMstd:
         cfg = SearchConfig(max_diameter=10)
         assert triple_form_scan(cfg, True) == triple_form_scan(cfg, True, jobs=1)
         assert started == [3, 3]
+
+    def test_no_pool_below_break_even(self, monkeypatch, started_pools):
+        # the kernel is stubbed out: only the decision to start a pool counts
+        monkeypatch.setattr(search, "_chunk", lambda task: [])
+        monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+        below, at = 22, search.POOL_NODES.bit_length() - 1
+        assert below < at
+        for n in (below, at):
+            assert enumerate_mstd(SearchConfig(max_diameter=n), jobs=2) == []
+            assert triple_form_scan(SearchConfig(max_diameter=n), jobs=2) == []
+        assert started_pools == [2, 2]
 
     def test_diameter_bounds(self):
         with pytest.raises(BudgetExceededError):
@@ -186,6 +209,7 @@ class TestEnumerateMstd:
         assert 1 << 30 == search.NODE_BUDGET
 
 
+@functools.lru_cache(maxsize=None)
 def set_counts(n: int) -> list:
     """(elements, |A+A|, |A-A|, |3A|, |2A-A|) for every subset of {0..n}
     containing 0, by set comprehension."""
@@ -231,9 +255,51 @@ class TestPrefixTasks:
             s, d = sum_diff_counts(mask)
             if s > d:
                 expected.append((mask, s, d))
-        hits = sorted(search._mstd_chunk((n, p, prefix)))
+        hits = sorted(search._chunk((SearchConfig(max_diameter=n), "mstd", p, prefix)))
         assert hits == expected
         assert any(mask >> n for mask, _, _ in hits)
+
+    def test_high_word_at_diameter_twenty_six(self):
+        # 3A and (2A-A) << n reach bit 78, past the low word; the first sets
+        # with |3A| > |2A-A| have diameter 26, and this task holds two
+        n, p = 26, 12
+        prefix = mask_of((1, 2, 3, 7))
+        expected = {"triple": [], "equal": []}
+        for suffix in range(1 << (n - p)):
+            mask = 1 | prefix | suffix << (p + 1)
+            els = mask_elements(mask)
+            sums = 0
+            for a in els:
+                sums |= mask << a
+            triple = mixed = 0
+            for a in els:
+                triple |= sums << a
+                mixed |= (sums << n) >> a
+            t, m = triple.bit_count(), mixed.bit_count()
+            if t >= m:
+                expected["triple" if t > m else "equal"].append((mask, t, m))
+        cfg = SearchConfig(max_diameter=n)
+        for scan, hits in expected.items():
+            assert sorted(search._chunk((cfg, scan, p, prefix))) == hits, scan
+        assert (mask_of((0, 1, 2, 3, 7, 19, 20, 23, 25, 26)), 78, 77) in expected["triple"]
+
+
+class TestMstdSubsetCounts:
+    def test_set_comprehension_oracle(self):
+        # each subset of {0..15} is counted from the smallest N holding it
+        first = [0] * 17
+        for mask in range(1, 1 << 16):
+            els = mask_elements(mask)
+            sums = {a + b for i, a in enumerate(els) for b in els[i:]}
+            diffs = {a - b for i, a in enumerate(els) for b in els[:i]}  # a > b
+            if len(sums) > 2 * len(diffs) + 1:
+                first[mask.bit_length()] += 1
+        assert mstd_subset_counts(15) == list(itertools.accumulate(first))
+
+    def test_counts_to_eighteen(self):
+        # by brute-force recount; none below 15, since the smallest MSTD set
+        # has diameter 14
+        assert mstd_subset_counts(17) == [0] * 15 + [4, 10, 30, 66]
 
 
 class TestTripleFormScan:
