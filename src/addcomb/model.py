@@ -124,7 +124,12 @@ class RealElement:
 
     __rmul__ = __mul__
 
-    def _order_key(self, other: "RealElement") -> int:
+    def _order_key(self, other) -> int:
+        """-1, 0 or 1 as self <, =, > other; a float tie between unequal
+        values raises. A rational other is embedded as (q, 0, ...)."""
+        if not isinstance(other, RealElement):
+            zeros = (0,) * (self.basis.dimension - 1)
+            other = RealElement(self.basis, (as_rational(other),) + zeros)
         self._check_basis(other)
         if self.coords == other.coords:
             return 0
@@ -137,14 +142,10 @@ class RealElement:
         return -1 if a < b else 1
 
     def __lt__(self, other):
-        if isinstance(other, RealElement):
-            return self._order_key(other) < 0
-        return float(self) < float(other)
+        return self._order_key(other) < 0
 
     def __le__(self, other):
-        if isinstance(other, RealElement):
-            return self._order_key(other) <= 0
-        return float(self) <= float(other)
+        return self._order_key(other) <= 0
 
     def __gt__(self, other):
         return not self <= other
@@ -206,10 +207,7 @@ class FiniteSet:
             distinct = list({x.coords: x for x in items}.values())
             distinct.sort(key=float)
             for a, b in zip(distinct, distinct[1:]):
-                if float(a) == float(b):
-                    raise ValueError(
-                        f"float tie between distinct elements {a!r} and {b!r}"
-                    )
+                a._order_key(b)  # raises on a float tie
             self.elements: tuple = tuple(distinct)
             self.basis: BasisDecl | None = basis
         else:
@@ -292,8 +290,13 @@ class LinearForm:
     @classmethod
     def parse(cls, text: str) -> "LinearForm":
         """Parse comma-separated rational coefficients, e.g. "1,1,-1"."""
-        parts = [p.strip() for p in text.split(",")]
-        return cls(tuple(Fraction(p) for p in parts))
+        coeffs = []
+        for part in text.split(","):
+            try:
+                coeffs.append(Fraction(part.strip()))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad form coefficient {part.strip()!r}") from None
+        return cls(tuple(coeffs))
 
     def __str__(self):
         parts = []
@@ -310,31 +313,13 @@ SUM_FORM = LinearForm((1, 1))
 DIFFERENCE_FORM = LinearForm((1, -1))
 
 
-@dataclass(frozen=True)
-class SignedForm:
-    """A base form with the coefficients at positions in ``flip`` negated.
-
-    Positions are 1-based, matching the t_j numbering.
-    """
-
-    base: LinearForm
-    flip: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "flip", frozenset(self.flip))
-        bad = [j for j in self.flip if not (1 <= j <= self.base.arity)]
-        if bad:
-            raise ValueError(f"flip indices out of range 1..{self.base.arity}: {sorted(bad)}")
-
-    def realized(self) -> LinearForm:
-        return LinearForm(
-            tuple(-c if (j + 1) in self.flip else c for j, c in enumerate(self.base.coeffs))
-        )
-
-
 def signed_form(form: LinearForm, flip: Iterable[int]) -> LinearForm:
     """The form with coefficients at the given 1-based positions negated."""
-    return SignedForm(form, frozenset(flip)).realized()
+    flip = frozenset(flip)
+    bad = [j for j in flip if not (1 <= j <= form.arity)]
+    if bad:
+        raise ValueError(f"flip indices out of range 1..{form.arity}: {sorted(bad)}")
+    return LinearForm(tuple(-c if j in flip else c for j, c in enumerate(form.coeffs, 1)))
 
 
 def all_sign_flips(form: LinearForm):

@@ -3,14 +3,16 @@
     E t  = 0        (equations)
     G t >= 1        (homogenized strict inequalities)
 
-over free variables t. Equations are removed first by exact Gaussian
-elimination (substituting t = N z for a nullspace basis N), then a phase-1
-simplex with Bland's rule decides feasibility of the inequality system.
-All pivots are Fraction-exact; floats never appear.
+over free variables t. Equations are removed first by Gaussian elimination
+(substituting t = N z for a nullspace basis N), then a phase-1 simplex with
+Bland's rule decides feasibility of the inequality system. Both run on one
+fraction-free integer pivot (Bareiss 1968, rows divided by their gcd) that
+makes the pivots of the rational tableau; floats never appear.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,49 +24,59 @@ class SimplexStats:
     inequalities: int = 0
 
 
-def _rref(rows: list[list[Fraction]], ncols: int):
-    """In-place reduced row echelon form; returns the pivot column list."""
+def _pivot(rows: list[list[int]], r: int, c: int) -> None:
+    """Clear column c from every row but rows[r], whose entry p there is > 0.
+
+    Each other row becomes (p*row - f*prow) / gcd, a positive multiple of
+    the row that rational elimination would produce.
+    """
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f:
+            new = [p * a - f * b for a, b in zip(row, prow)]
+            g = math.gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
+
+
+def _nullspace(equations, nvars: int) -> list[list[int]]:
+    """Integer columns N spanning {t : E t = 0}, as nvars x nfree.
+
+    N is the rational reduced-echelon nullspace basis times one positive
+    integer, so the free coordinate of each column is that integer.
+    """
+    rows = [list(eq) for eq in equations]
     piv_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(nvars):
+        r = len(piv_cols)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        _pivot(rows, r, c)
         piv_cols.append(c)
-        r += 1
-        if r == len(rows):
+        if len(piv_cols) == len(rows):
             break
-    del rows[r:]
-    return piv_cols
-
-
-def _nullspace(equations, nvars: int) -> list[list[Fraction]]:
-    """Columns of N span {t : E t = 0}; returns N as nvars x nfree."""
-    rows = [[Fraction(c) for c in eq] for eq in equations]
-    piv_cols = _rref(rows, nvars)
+    scale = math.lcm(*(rows[r][pc] for r, pc in enumerate(piv_cols)))
     free_cols = [c for c in range(nvars) if c not in piv_cols]
-    N = [[Fraction(0)] * len(free_cols) for _ in range(nvars)]
+    N = [[0] * len(free_cols) for _ in range(nvars)]
     for jf, fc in enumerate(free_cols):
-        N[fc][jf] = Fraction(1)
+        N[fc][jf] = scale
         for r, pc in enumerate(piv_cols):
-            N[pc][jf] = -rows[r][fc]
+            N[pc][jf] = -rows[r][fc] * (scale // rows[r][pc])
     return N
 
 
-def _phase1(ineqs: list[list[Fraction]], nfree: int, stats: SimplexStats):
+def _phase1(ineqs: list[list[int]], nfree: int, stats: SimplexStats):
     """Solve {G z >= 1, z free} by minimizing artificial infeasibility.
 
     z splits into u - v with u, v >= 0, plus one surplus per row. Artificial
     variables form the initial basis implicitly: they carry labels past the
-    real columns and are never eligible to re-enter. Returns z or None.
+    real columns and are never eligible to re-enter. The phase-1 cost row
+    is the last tableau row. Returns z or None.
     """
     m = len(ineqs)
     if m == 0:
@@ -72,60 +84,42 @@ def _phase1(ineqs: list[list[Fraction]], nfree: int, stats: SimplexStats):
     ncols = 2 * nfree + m
     rows = []
     for i, g in enumerate(ineqs):
-        row = [Fraction(x) for x in g] + [Fraction(-x) for x in g] + [Fraction(0)] * m
-        row[2 * nfree + i] = Fraction(-1)
-        row.append(Fraction(1))  # rhs
+        row = list(g) + [-x for x in g] + [0] * m + [1]  # last entry: rhs
+        row[2 * nfree + i] = -1
         rows.append(row)
+    rows.append([-sum(col) for col in zip(*rows)])  # cost row
     basis = [ncols + i for i in range(m)]  # artificial labels
-    cost = [Fraction(0)] * (ncols + 1)
-    for row in rows:
-        for j in range(ncols + 1):
-            cost[j] -= row[j]
-    zero = Fraction(0)
     while True:
-        enter = next((j for j in range(ncols) if cost[j] < zero), None)
+        enter = next((j for j in range(ncols) if rows[-1][j] < 0), None)
         if enter is None:
             break
-        leave = None
-        best = None
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > zero:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:
+        cands = [i for i in range(m) if rows[i][enter] > 0]
+        if not cands:
             # phase-1 objective is bounded below by 0, so this cannot happen
             raise RuntimeError("phase-1 simplex detected an unbounded direction")
+        leave = cands[0]
+        for i in cands[1:]:
+            # rhs_i / a_i against rhs_leave / a_leave, cross-multiplied
+            d = rows[i][-1] * rows[leave][enter] - rows[leave][-1] * rows[i][enter]
+            if d < 0 or (d == 0 and basis[i] < basis[leave]):
+                leave = i
         stats.pivots += 1
-        prow = rows[leave]
-        inv = prow[enter]
-        if inv != 1:
-            prow = [x / inv for x in prow]
-            rows[leave] = prow
-        for i, row in enumerate(rows):
-            if i != leave and row[enter]:
-                f = row[enter]
-                rows[i] = [a - f * b for a, b in zip(row, prow)]
-        f = cost[enter]
-        if f:
-            cost = [a - f * b for a, b in zip(cost, prow)]
+        _pivot(rows, leave, enter)
         basis[leave] = enter
-    if -cost[-1] != 0:
+    if rows[-1][-1]:
         return None  # residual infeasibility
     z = [Fraction(0)] * nfree
     for i, b in enumerate(basis):
-        if b < nfree:
-            z[b] += rows[i][-1]
-        elif b < 2 * nfree:
-            z[b - nfree] -= rows[i][-1]
+        if b < 2 * nfree:  # u_b, or v_(b - nfree) entering z negated
+            x = Fraction(rows[i][-1], rows[i][b])
+            z[b % nfree] += x if b < nfree else -x
     return z
 
 
 def feasible_point(equations, inequalities, nvars: int):
     """A rational t with E t = 0 and G t >= 1, or None if none exists.
 
-    Returns (t, stats). Coefficient rows may be ints or Fractions.
+    Returns (t, stats). Coefficient rows must be integer sequences.
     """
     stats = SimplexStats(equations=len(equations), inequalities=len(inequalities))
     N = _nullspace(equations, nvars)
@@ -133,15 +127,13 @@ def feasible_point(equations, inequalities, nvars: int):
     reduced = []
     seen = set()
     for g in inequalities:
-        row = [
-            sum((Fraction(c) * N[i][j] for i, c in enumerate(g) if c), Fraction(0))
-            for j in range(nfree)
-        ]
-        if all(x == 0 for x in row):
+        row = tuple(
+            sum(c * N[i][j] for i, c in enumerate(g) if c) for j in range(nfree)
+        )
+        if not any(row):
             return None, stats  # 0 >= 1: equations force this constraint empty
-        key = tuple(row)
-        if key not in seen:
-            seen.add(key)
+        if row not in seen:
+            seen.add(row)
             reduced.append(row)
     z = _phase1(reduced, nfree, stats)
     if z is None:

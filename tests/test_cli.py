@@ -159,6 +159,15 @@ def test_realize_certificate_failure_exits_3(capsys, monkeypatch, m8):
     assert "certificate" in err
 
 
+@pytest.mark.parametrize("command", ["image", "iso-check", "realize"])
+def test_zero_denominator_in_form_is_one_line(capsys, m8, command):
+    sets = (m8, m8) if command == "iso-check" else (m8,)
+    code, _, err = run(capsys, command, "--form", "1/0", *sets)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "'1/0'" in err
+
+
 def test_search_mstd_golden(capsys):
     code, out, _ = run(capsys, "search", "mstd", "--max-diameter", "14")
     assert code == 0

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from addcomb import (
     FiniteSet,
     LinearForm,
     RealElement,
-    SignedForm,
     affine_image,
     clear_denominators,
     signed_form,
@@ -86,6 +86,19 @@ class TestRealElement:
         with pytest.raises(ValueError):
             (1 + 4 * rt2).ratio_to(v)
 
+    def test_rational_comparison_tie_is_hard_error(self):
+        x = BASIS_SQRT2.unit("sqrt2")
+        q = Fraction(1.4142135623730951)  # the float approximation, exactly
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            for a, b in ((x, q), (q, x)):
+                with pytest.raises(ValueError, match="tie"):
+                    op(a, b)
+
+    def test_rational_comparison_orders(self):
+        x = BASIS_SQRT2.unit("sqrt2")
+        assert 1 < x < 2 and x <= Fraction(3, 2) and not x >= Fraction(3, 2)
+        assert (0 * x + 5) <= 5 and (0 * x + 5) >= 5
+
     def test_basis_must_declare_unit_first(self):
         with pytest.raises(ValueError):
             BasisDecl(("sqrt2", "1"), (1.41, 1.0))
@@ -104,6 +117,11 @@ class TestLinearForm:
         f = LinearForm.parse("1/2, -1, 3")
         assert f.coeffs == (Fraction(1, 2), -1, 3)
         assert f.arity == 3
+
+    def test_parse_names_the_bad_token(self):
+        for text in ("1/0", "1, x"):
+            with pytest.raises(ValueError, match="bad form coefficient"):
+                LinearForm.parse(text)
 
     def test_evaluate(self):
         f = LinearForm((2, 3))
@@ -127,7 +145,7 @@ class TestSignedForm:
         with pytest.raises(ValueError):
             signed_form(LinearForm((1, 1)), {3})
         with pytest.raises(ValueError):
-            SignedForm(LinearForm((1, 1)), frozenset({0}))
+            signed_form(LinearForm((1, 1)), {0})
 
     def test_double_flip_is_identity(self):
         rng = random.Random(5)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -26,6 +28,8 @@ from addcomb import (
     translate_positive,
 )
 from helpers import BASIS_SQRT2, realization_suite, suite_results
+
+LP_SUITE_SHA256 = "b9cbed9ea2e63c1b91840f2a0eeb2ce8cb8117f446b25e53ad624dd7bab7a3ec"
 
 
 def lattice_coincidence_oracle(points, coeffs, values) -> bool:
@@ -235,3 +239,18 @@ class TestRealizationInvariants:
             va, vb = is_mstd(A), is_mstd(r.B)
             assert (va.sum_count, va.diff_count) == (vb.sum_count, vb.diff_count)
             assert va.is_mstd == vb.is_mstd
+
+
+def test_lp_route_is_pinned():
+    # B and every LpParams field over the 25-set suite x 4 forms, digest
+    # taken with the Fraction tableau: the same pivots must give the same B
+    h = hashlib.sha256()
+    count = 0
+    for A, form, method, r in suite_results()[0]:
+        if method != "lp":
+            continue
+        count += 1
+        key = (r.B.elements, dataclasses.astuple(r.params))
+        h.update(repr(key).encode() + b"\n")
+    assert count == 100
+    assert h.hexdigest() == LP_SUITE_SHA256
