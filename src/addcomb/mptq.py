@@ -17,7 +17,10 @@ class PositiveSet:
     __slots__ = ("elements",)
 
     def __init__(self, elements):
-        items = sorted({as_rational(x) for x in elements})
+        try:
+            items = sorted({as_rational(x) for x in elements})
+        except TypeError:
+            raise ValueError("products and quotients need rational elements") from None
         if not items:
             raise ValueError("PositiveSet must be nonempty")
         if items[0] <= 0:

@@ -218,16 +218,14 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
         lo = q + 1
         hi = min(q + (1 << 18), q_bound)
         qs = np.arange(lo, hi + 1, dtype=np.float64)
-        ok = np.ones(len(qs), dtype=bool)
         worst = np.zeros(len(qs), dtype=np.float64)
         for v in approx:
             x = qs * v
             r = np.abs(x - np.round(x))
             np.maximum(worst, r, out=worst)
-            ok &= r < eps_f
         best_residual = min(best_residual, float(worst.min()))
         q = hi
-        for cand in np.flatnonzero(ok):
+        for cand in np.flatnonzero(worst < eps_f):
             qc = lo + int(cand)
             if rational_elems is not None:
                 bs = [round(qc * Fraction(a)) for a in rational_elems]
@@ -283,19 +281,10 @@ def realize_lp(A: FiniteSet, form: LinearForm) -> RealizationResult:
         vecs.add(tuple(v))
 
     zero = 0 * A.elements[0]  # zero of the right kind (rational or symbolic)
-
-    def dot(vec):
-        acc = None
-        for c, a in zip(vec, A.elements):
-            if c == 0:
-                continue
-            term = c * a
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else zero
-
     groups: dict = {}
     for vec in vecs:
-        groups.setdefault(dot(vec), []).append(vec)
+        val = sum((c * a for c, a in zip(vec, A.elements) if c), zero)
+        groups.setdefault(val, []).append(vec)
     try:
         ordering = FiniteSet(groups.keys())
     except ValueError as exc:
@@ -317,19 +306,20 @@ def realize_lp(A: FiniteSet, form: LinearForm) -> RealizationResult:
         # A itself satisfies the system over the reals, and rational points
         # are dense in its solution set, so infeasibility means a bug.
         raise CertificateError("constraint system infeasible; internal error")
-    _check_class_structure(classes, t)
-    m = math.lcm(*(x.denominator for x in t)) if t else 1
+    m = math.lcm(*(x.denominator for x in t))
     raw = [int(m * x) for x in t]
+    _check_class_structure(classes, raw)
     params = LpParams(len(vecs), stats.equations, stats.inequalities, stats.pivots)
     return _finish(A, form, raw, "lp", params)
 
 
-def _check_class_structure(classes, t) -> None:
-    """The rational solution must reproduce every pairwise relation: equal
-    dot products inside each class, strictly increasing across classes."""
+def _check_class_structure(classes, raw) -> None:
+    """The integer solution (a positive multiple of the rational one) must
+    reproduce every pairwise relation: equal dot products inside each class,
+    strictly increasing across classes."""
     prev = None
     for cls in classes:
-        vals = {sum((c * x for c, x in zip(vec, t) if c), Fraction(0)) for vec in cls}
+        vals = {sum(c * x for c, x in zip(vec, raw) if c) for vec in cls}
         if len(vals) != 1:
             raise CertificateError("solution breaks an equality constraint")
         (val,) = vals

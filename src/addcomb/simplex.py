@@ -3,11 +3,13 @@
     E t  = 0        (equations)
     G t >= 1        (homogenized strict inequalities)
 
-over free variables t. Equations are removed first by Gaussian elimination
-(substituting t = N z for a nullspace basis N), then a phase-1 simplex with
-Bland's rule decides feasibility of the inequality system. Both run on one
-fraction-free integer pivot (Bareiss 1968, rows divided by their gcd) that
-makes the pivots of the rational tableau; floats never appear.
+over free variables t. Gauss-Jordan elimination on the equation rows also
+clears their pivot columns from the inequality rows, which leaves a system
+in the free columns alone; a phase-1 simplex with Bland's rule decides its
+feasibility, and each pivot column is read back from its equation row.
+Both steps run on one fraction-free integer pivot (Bareiss 1968, rows
+divided by their gcd) that makes the pivots of the rational tableau;
+floats never appear.
 """
 
 from __future__ import annotations
@@ -38,36 +40,6 @@ def _pivot(rows: list[list[int]], r: int, c: int) -> None:
             new = [p * a - f * b for a, b in zip(row, prow)]
             g = math.gcd(*new)
             rows[i] = [x // g for x in new] if g > 1 else new
-
-
-def _nullspace(equations, nvars: int) -> list[list[int]]:
-    """Integer columns N spanning {t : E t = 0}, as nvars x nfree.
-
-    N is the rational reduced-echelon nullspace basis times one positive
-    integer, so the free coordinate of each column is that integer.
-    """
-    rows = [list(eq) for eq in equations]
-    piv_cols = []
-    for c in range(nvars):
-        r = len(piv_cols)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        _pivot(rows, r, c)
-        piv_cols.append(c)
-        if len(piv_cols) == len(rows):
-            break
-    scale = math.lcm(*(rows[r][pc] for r, pc in enumerate(piv_cols)))
-    free_cols = [c for c in range(nvars) if c not in piv_cols]
-    N = [[0] * len(free_cols) for _ in range(nvars)]
-    for jf, fc in enumerate(free_cols):
-        N[fc][jf] = scale
-        for r, pc in enumerate(piv_cols):
-            N[pc][jf] = -rows[r][fc] * (scale // rows[r][pc])
-    return N
 
 
 def _phase1(ineqs: list[list[int]], nfree: int, stats: SimplexStats):
@@ -122,24 +94,42 @@ def feasible_point(equations, inequalities, nvars: int):
     Returns (t, stats). Coefficient rows must be integer sequences.
     """
     stats = SimplexStats(equations=len(equations), inequalities=len(inequalities))
-    N = _nullspace(equations, nvars)
-    nfree = len(N[0]) if N else 0
+    neq = len(equations)
+    # equation rows [e | 0] above inequality rows [g | 1], rhs last
+    rows = [list(e) + [0] for e in equations] + [list(g) + [1] for g in inequalities]
+    piv_cols = []
+    for c in range(nvars):
+        r = len(piv_cols)
+        pivot = next((i for i in range(r, neq) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        _pivot(rows, r, c)
+        piv_cols.append(c)
+    free = [c for c in range(nvars) if c not in piv_cols]
+    # each inequality row is now lam_i * (g'_i | 1), lam_i > 0, zero in the
+    # pivot columns. Brought to one common rhs, all rows share one positive
+    # factor, which Bland's rule and the ratio test ignore; a factor per row
+    # would change the cost row (minus the sum of the rows) and the pivots
+    scale = math.lcm(*(row[-1] for row in rows[neq:]))
     reduced = []
     seen = set()
-    for g in inequalities:
-        row = tuple(
-            sum(c * N[i][j] for i, c in enumerate(g) if c) for j in range(nfree)
-        )
-        if not any(row):
+    for row in rows[neq:]:
+        f = scale // row[-1]
+        g = tuple(f * row[c] for c in free)
+        if not any(g):
             return None, stats  # 0 >= 1: equations force this constraint empty
-        if row not in seen:
-            seen.add(row)
-            reduced.append(row)
-    z = _phase1(reduced, nfree, stats)
+        if g not in seen:
+            seen.add(g)
+            reduced.append(g)
+    z = _phase1(reduced, len(free), stats)
     if z is None:
         return None, stats
-    t = [
-        sum((N[i][j] * z[j] for j in range(nfree) if z[j]), Fraction(0))
-        for i in range(nvars)
-    ]
+    t = [Fraction(0)] * nvars
+    for c, zc in zip(free, z):
+        t[c] = scale * zc
+    for row, pc in zip(rows, piv_cols):
+        t[pc] = -sum((row[c] * t[c] for c in free if row[c]), Fraction(0)) / row[pc]
     return t, stats

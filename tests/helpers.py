@@ -8,6 +8,7 @@ the package is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -91,6 +92,41 @@ def realization_suite() -> list[FiniteSet]:
                 coords.add((rng.randint(0, 3), rng.randint(0, 1), rng.randint(0, 1)))
             sets.append(FiniteSet(BASIS_SQRT23.element(c) for c in coords))
     return sets
+
+
+def _normalise(row) -> tuple:
+    g = math.gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
+def fourier_motzkin_feasible(equations, inequalities, nvars: int) -> bool:
+    """Whether E t = 0, G t > 0 has a solution, without the simplex.
+
+    Each equation is substituted into the remaining rows, scaled so no
+    inequality changes sign. Then Fourier-Motzkin elimination drops one
+    variable at a time from the strict homogeneous system: every row with a
+    positive coefficient there combines with every row with a negative one,
+    both multipliers positive. Rows are gcd-normalised and deduplicated.
+    The system is feasible iff no row survives, since a survivor reads 0 > 0.
+    """
+    eqs = [list(e) for e in equations]
+    ineqs = {_normalise(g) for g in inequalities}
+    while eqs:
+        e = eqs.pop()
+        j = next((j for j, x in enumerate(e) if x), None)
+        if j is None:
+            continue  # a redundant equation reduced to 0 = 0
+        a, s = abs(e[j]), (1 if e[j] > 0 else -1)
+        eqs = [[a * x - s * r[j] * y for x, y in zip(r, e)] for r in eqs]
+        ineqs = {_normalise([a * x - s * g[j] * y for x, y in zip(g, e)]) for g in ineqs}
+    for j in range(nvars):
+        pos = [g for g in ineqs if g[j] > 0]
+        neg = [g for g in ineqs if g[j] < 0]
+        ineqs = {g for g in ineqs if g[j] == 0}
+        for p in pos:
+            for n in neg:
+                ineqs.add(_normalise([-n[j] * x + p[j] * y for x, y in zip(p, n)]))
+    return not ineqs
 
 
 _SUITE_CACHE = None

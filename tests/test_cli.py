@@ -220,6 +220,18 @@ def test_transport_round_trip(capsys, tmp_path, m8):
     assert out.strip() == "0,2,3,4,7,11,12,14"
 
 
+@pytest.mark.parametrize(
+    "argv", [("mptq",), ("transport", "log", "--base", "2")], ids=["mptq", "transport-log"]
+)
+def test_symbolic_set_on_multiplicative_side_exit_code(capsys, tmp_path, argv):
+    p = tmp_path / "sqrt2.set"
+    p.write_text(SQRT2_SET)
+    code, out, err = run(capsys, *argv, str(p))
+    assert code == 1
+    assert out == ""
+    assert err == "error: products and quotients need rational elements\n"
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     p = tmp_path / "bad.set"
     p.write_text("1\nnonsense\n")

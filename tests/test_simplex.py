@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 from addcomb.simplex import feasible_point
+from helpers import fourier_motzkin_feasible
 
 SEEDED_BATCH_SHA256 = "677d61734b84e194e0a2227681a05570f134070c10407a665251898ec6439208"
 
@@ -115,3 +116,35 @@ def test_seeded_batch_is_pinned():
         h.update(repr(key).encode() + b"\n")
     assert 0 < feasible < 300
     assert h.hexdigest() == SEEDED_BATCH_SHA256
+
+
+def test_verdicts_match_fourier_motzkin():
+    # hand-made shapes with their known verdicts, then seeded random systems
+    shapes = [
+        ([(1, -1, 0), (2, -2, 0)], [(0, 1, -1)], 3, True),  # redundant equations
+        ([(1, -1, 0), (0, 1, -1), (1, 0, -1)], [(1, 1, 1)], 3, True),  # rank 2 of 3
+        ([(1, 0), (0, 1)], [], 2, True),  # t = 0 forced, nothing to break
+        ([(1, 0), (0, 1)], [(1, 1), (1, -2)], 2, False),  # t = 0 forced
+        ([(1, -1, 0)], [(1, 0, 1), (0, 1, 1)], 3, True),  # equal once t1 = t2
+        ([(1, -1, 0)], [(1, 0, 1), (0, -1, -1)], 3, False),  # opposite once t1 = t2
+    ]
+    systems = []
+    for eqs, ineqs, n, verdict in shapes:
+        assert fourier_motzkin_feasible(eqs, ineqs, n) is verdict
+        systems.append((eqs, ineqs, n))
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        n = rng.randint(1, 5)
+        eqs, ineqs = (
+            [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, most))]
+            for most in (2, 7)
+        )
+        systems.append((eqs, ineqs, n))
+    feasible = 0
+    for eqs, ineqs, n in systems:
+        t, _ = feasible_point(eqs, ineqs, n)
+        assert (t is not None) == fourier_motzkin_feasible(eqs, ineqs, n), (eqs, ineqs)
+        if t is not None:
+            feasible += 1
+            assert satisfied(eqs, ineqs, t)
+    assert 200 < feasible < len(systems) - 200
