@@ -32,6 +32,11 @@ from .simplex import feasible_point
 #: hard ceiling on k^2h, the ordered tuple pairs realize_lp orders
 PAIR_BUDGET = 10**6
 
+#: values of q in the dirichlet scan's first block; each next block holds
+#: twice as many, up to Q_BLOCK_MAX
+Q_BLOCK_MIN = 1 << 10
+Q_BLOCK_MAX = 1 << 18
+
 
 def _exact_int(x) -> int:
     if isinstance(x, int):
@@ -167,14 +172,29 @@ def realize_group(A: FiniteSet, form: LinearForm) -> RealizationResult:
     return _finish(A, form, raw, "group", params)
 
 
+def _fill_consecutive(out: np.ndarray, start: int) -> None:
+    """out[j] = start + j, exact while start + len(out) < 2^53. Past the
+    first Q_BLOCK_MIN entries the filled prefix is doubled in place, so a
+    large block needs no temporary."""
+    done = min(len(out), Q_BLOCK_MIN)
+    out[:done] = np.arange(start, start + done, dtype=np.float64)
+    while done < len(out):
+        m = min(done, len(out) - done)
+        np.add(out[:m], done, out=out[done : done + m])
+        done += m
+
+
 def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> RealizationResult:
     """Find q with every q*a_i within epsilon of an integer b_i, epsilon
     chosen so integer-side coincidences match exact-side ones.
 
     The scan is the plain increasing one over q, block-vectorized on the
-    float approximations, 2^18 values of q per block. A certificate failure
+    float approximations: the first block holds Q_BLOCK_MIN values of q and
+    each next one twice as many, up to Q_BLOCK_MAX, so a small q is found
+    after a small block. The blocks are slices of one buffer allocated per
+    call, and the residuals are computed in place. A certificate failure
     (possible only if the float gap estimate lied) halves epsilon and
-    resumes the scan.
+    resumes the scan after the rejected q.
     """
     k = len(A)
     iform, _ = clear_denominators(form)
@@ -212,19 +232,26 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
     else:
         rational_elems = None  # genuinely irrational: float residuals only
     best_residual = math.inf
+    # rows q, q*a_i, round(q*a_i) and the max residual; pages are touched
+    # only as far as the largest block reaches
+    buffer = np.empty((4, Q_BLOCK_MAX), dtype=np.float64)
+    block = Q_BLOCK_MIN
     q = 0
     while q < q_bound:
         eps_f = float(eps)
         lo = q + 1
-        hi = min(q + (1 << 18), q_bound)
-        qs = np.arange(lo, hi + 1, dtype=np.float64)
-        worst = np.zeros(len(qs), dtype=np.float64)
+        hi = min(q + block, q_bound)
+        qs, x, nearest, worst = buffer[:, : hi - lo + 1]
+        _fill_consecutive(qs, lo)
+        worst.fill(0.0)
         for v in approx:
-            x = qs * v
-            r = np.abs(x - np.round(x))
-            np.maximum(worst, r, out=worst)
+            np.multiply(qs, v, out=x)
+            x -= np.rint(x, out=nearest)
+            np.abs(x, out=x)
+            np.maximum(worst, x, out=worst)
         best_residual = min(best_residual, float(worst.min()))
         q = hi
+        block = min(2 * block, Q_BLOCK_MAX)
         for cand in np.flatnonzero(worst < eps_f):
             qc = lo + int(cand)
             if rational_elems is not None:

@@ -129,6 +129,16 @@ def fourier_motzkin_feasible(equations, inequalities, nvars: int) -> bool:
     return not ineqs
 
 
+def first_close_denominator(elements, eps, after: int = 0) -> int:
+    """The least q > after with every |q*a - round(q*a)| < eps, trying
+    q = after + 1, after + 2, ... in exact Fraction arithmetic."""
+    elements = [Fraction(a) for a in elements]
+    q = after + 1
+    while not all(abs(q * a - round(q * a)) < eps for a in elements):
+        q += 1
+    return q
+
+
 _SUITE_CACHE = None
 
 

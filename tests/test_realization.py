@@ -10,6 +10,7 @@ from addcomb import (
     ApproximationError,
     BasisDecl,
     BudgetExceededError,
+    CertificateError,
     FiniteSet,
     LatticeSet,
     LinearForm,
@@ -21,15 +22,17 @@ from addcomb import (
     is_mstd,
     is_phi_isomorphism,
     lattice_embed,
+    realization,
     realize,
     realize_dirichlet,
     realize_group,
     realize_lp,
     translate_positive,
 )
-from helpers import BASIS_SQRT2, realization_suite, suite_results
+from helpers import BASIS_SQRT2, first_close_denominator, realization_suite, suite_results
 
 LP_SUITE_SHA256 = "b9cbed9ea2e63c1b91840f2a0eeb2ce8cb8117f446b25e53ad624dd7bab7a3ec"
+DIRICHLET_SUITE_SHA256 = "06f8e99b98c055def23e10ce4ca0c24328bb6de29e6745c525b108449d552679"
 
 
 def lattice_coincidence_oracle(points, coeffs, values) -> bool:
@@ -168,6 +171,46 @@ class TestRealizeDirichlet:
         A = FiniteSet([0, Fraction(1, p), Fraction(2, p)])
         assert realize_dirichlet(A, SUM_FORM).params.q == p
 
+    @pytest.mark.parametrize("p", [1024, 1025, 3072, 3073])
+    def test_q_at_a_block_boundary(self, p):
+        # blocks of 2^10, 2^11, 2^12, ... values of q: the last and first q
+        # of the first, second and third blocks
+        A = FiniteSet([0, Fraction(1, p), Fraction(2, p)])
+        assert realize_dirichlet(A, SUM_FORM).params.q == p
+
+    def test_bound_inside_a_block(self):
+        # q_bound = 5000 cuts the third block (3073..7168) short by one q
+        p = 5001
+        A = FiniteSet([0, Fraction(1, p), Fraction(2, p)])
+        with pytest.raises(ApproximationError, match="best max-residual"):
+            realize_dirichlet(A, SUM_FORM, q_bound=5000)
+        assert realize_dirichlet(A, SUM_FORM, q_bound=5001).params.q == p
+
+    @pytest.mark.parametrize(
+        "elements, form",
+        [
+            ([0, Fraction(2, 3), Fraction(271828, 100000)], DIFFERENCE_FORM),
+            ([Fraction(1, 10), Fraction(141421, 100000), Fraction(17, 5)], LinearForm((2, 3))),
+        ],
+    )
+    def test_certificate_failure_halves_epsilon_and_resumes(self, monkeypatch, elements, form):
+        A = FiniteSet(elements)
+        first = realize_dirichlet(A, form).params
+        assert first.q == first_close_denominator(elements, first.epsilon)
+        finish, rejected = realization._finish, []
+
+        def fail_once(A, form, raw, method, params):
+            if not rejected:
+                rejected.append(params.q)
+                raise CertificateError("rejected for the test")
+            return finish(A, form, raw, method, params)
+
+        monkeypatch.setattr(realization, "_finish", fail_once)
+        params = realize_dirichlet(A, form).params
+        assert rejected == [first.q]
+        assert params.epsilon == first.epsilon / 2
+        assert params.q == first_close_denominator(elements, first.epsilon / 2, after=first.q)
+
     def test_singleton_returns_one(self):
         rt2 = BASIS_SQRT2.unit("sqrt2")
         r = realize_dirichlet(FiniteSet([rt2]), SUM_FORM)
@@ -241,16 +284,26 @@ class TestRealizationInvariants:
             assert va.is_mstd == vb.is_mstd
 
 
-def test_lp_route_is_pinned():
-    # B and every LpParams field over the 25-set suite x 4 forms, digest
-    # taken with the Fraction tableau: the same pivots must give the same B
+def _route_digest(route: str) -> str:
+    """sha256 over B and every params field of the route's 100 suite results."""
     h = hashlib.sha256()
     count = 0
     for A, form, method, r in suite_results()[0]:
-        if method != "lp":
+        if method != route:
             continue
         count += 1
         key = (r.B.elements, dataclasses.astuple(r.params))
         h.update(repr(key).encode() + b"\n")
     assert count == 100
-    assert h.hexdigest() == LP_SUITE_SHA256
+    return h.hexdigest()
+
+
+def test_lp_route_is_pinned():
+    # digest taken with the Fraction tableau: the same pivots must give the same B
+    assert _route_digest("lp") == LP_SUITE_SHA256
+
+
+def test_dirichlet_route_is_pinned():
+    # digest taken with fixed 2^18 blocks: any block schedule scans q in
+    # increasing order, so it must find the same q
+    assert _route_digest("dirichlet") == DIRICHLET_SUITE_SHA256
