@@ -3,7 +3,10 @@
 A bijection f preserves a form when two tuples share a form value on the
 domain side exactly when their images share a value on the codomain side.
 The check groups index tuples by exact value on each side and compares the
-two partitions, which is O(k^h) groupings instead of all k^{2h} pairs.
+two partitions, which is O(k^h) groupings instead of all k^{2h} pairs. A
+value is keyed by an exact integer (a tuple of them over a basis): the
+form's denominators are cleared and the elements' coordinates scaled to
+integers, both by positive factors, so keys coincide exactly where values do.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError
-from .images import form_image, is_mstd
+# form_image stays a module attribute: perfbench/spans.py wraps it here
+from .images import form_image, is_mstd  # noqa: F401
 from .model import (
     SUM_FORM,
     FiniteSet,
@@ -21,6 +25,8 @@ from .model import (
     RealElement,
     Scalar,
     as_rational,
+    clear_denominators,
+    integer_columns,
     signed_form,
     value_table,
 )
@@ -111,21 +117,51 @@ def _unrank(pos: int, k: int, h: int) -> tuple:
     return tuple(out)
 
 
-def _coincidences(form: LinearForm, f: SetBijection):
-    """The one walk over both value tables, in tuple order.
+def _keys(form: LinearForm, elements) -> tuple[list, int]:
+    """Exact integer keys of an integral form's values over all ordered
+    tuples, in tuple order, and the scale m of the elements' integer columns.
 
-    Each side maps a value to (the other side's value, its first position);
-    a later position that disagrees is the first failure in that direction.
-    Returns the verdict, the domain-side map and the two value tables.
+    One value table per integer column of the elements: a single column
+    gives int keys, several give tuples of ints. Two tuples share a key
+    exactly when they share a value.
+    """
+    columns, m = integer_columns(elements)
+    tables = [value_table(form, col) for col in columns]
+    keys = tables[0] if len(tables) == 1 else list(zip(*tables))
+    return keys, m
+
+
+def _exact(n: int, scale: int):
+    q, r = divmod(n, scale)
+    return q if r == 0 else Fraction(n, scale)
+
+
+def _decode(keys: list, scale: int, basis) -> list:
+    """The exact values behind keys: each coordinate over scale."""
+    if basis is None:
+        return keys if scale == 1 else [_exact(n, scale) for n in keys]
+    if basis.dimension == 1:
+        keys = [(n,) for n in keys]
+    return [RealElement(basis, tuple(_exact(n, scale) for n in key)) for key in keys]
+
+
+def _coincidences(form: LinearForm, f: SetBijection):
+    """The one walk over both sides' keys, in tuple order.
+
+    Each side maps a key to (the other side's key, its first position); a
+    later position that disagrees is the first failure in that direction.
+    Returns the verdict, the domain-side map, the two key tables and the
+    two scales that _decode needs.
     """
     k = len(f.domain)
     h = form.arity
-    avals = value_table(form, f.domain.elements)
-    bvals = value_table(form, f.mapped_elements())
+    iform, mult = clear_denominators(form)
+    akeys, ma = _keys(iform, f.domain.elements)
+    bkeys, mb = _keys(iform, f.mapped_elements())
     forward: dict = {}
     backward: dict = {}
     homo_fail = inv_fail = None
-    for pos, (va, vb) in enumerate(zip(avals, bvals)):
+    for pos, (va, vb) in enumerate(zip(akeys, bkeys)):
         seen = forward.get(va)
         if seen is None:
             forward[va] = (vb, pos)
@@ -143,7 +179,8 @@ def _coincidences(form: LinearForm, f: SetBijection):
     if fails:
         u, v = min(fails, key=lambda t: t[1])
         witness = (_unrank(u, k, h), _unrank(v, k, h))
-    return IsoVerdict(homo_fail is None, not fails, witness), forward, avals, bvals
+    verdict = IsoVerdict(homo_fail is None, not fails, witness)
+    return verdict, forward, akeys, bkeys, (ma * mult, mb * mult)
 
 
 def is_phi_isomorphism(form: LinearForm, f: SetBijection) -> IsoVerdict:
@@ -175,19 +212,34 @@ class InducedMap:
 
 
 def induced_bijection(form: LinearForm, f: SetBijection) -> InducedMap:
-    """Build the induced value map and verify multiplicities transfer."""
-    verdict, forward, avals, bvals = _coincidences(form, f)
+    """Build the induced value map and verify multiplicities transfer.
+
+    Multiplicities are counted over the keys, and each distinct key is
+    decoded once. A rational domain is ordered by its keys, which the
+    positive scale leaves in value order; a symbolic one through FiniteSet.
+    """
+    verdict, forward, akeys, bkeys, (sa, sb) = _coincidences(form, f)
     if not verdict.is_isomorphism:
         raise ValueError(f"bijection is not an isomorphism (witness {verdict.witness})")
-    ma, mb = Counter(avals), Counter(bvals)
+    if f.domain.basis is None:
+        xkeys = sorted(forward)
+        xs = _decode(xkeys, sa, None)
+    else:
+        keys = list(forward)
+        values = _decode(keys, sa, f.domain.basis)
+        key_of = {x.coords: key for key, x in zip(keys, values)}
+        xs = FiniteSet(values).elements
+        xkeys = [key_of[x.coords] for x in xs]
+    ykeys = [forward[key][0] for key in xkeys]
+    ys = _decode(ykeys, sb, f.codomain.basis)
+    ma, mb = Counter(akeys), Counter(bkeys)
     pairs = []
-    for x in FiniteSet(forward):
-        y = forward[x][0]
-        mx, my = ma[x], mb[y]
+    for xkey, ykey, x, y in zip(xkeys, ykeys, xs, ys):
+        mx, my = ma[xkey], mb[ykey]
         if mx != my:
             raise CertificateError(f"multiplicity mismatch at {x} -> {y}: {mx} != {my}")
         pairs.append((x, y, mx))
-    if len({y for _, y, _ in pairs}) != len(pairs):
+    if len(set(ykeys)) != len(pairs):
         raise CertificateError("induced map is not injective")
     return InducedMap(tuple(pairs))
 
@@ -196,15 +248,12 @@ def check_signed_transfer(form: LinearForm, flip, f: SetBijection) -> bool:
     """An isomorphism for the base form must remain one for every
     sign-flipped variant, with equal image sizes on both sides. A False
     return signals an implementation bug, never valid input behavior.
+    The image sizes are the numbers of distinct keys on each side.
     """
     if not is_phi_isomorphism(form, f).is_isomorphism:
         raise ValueError("bijection is not an isomorphism for the base form")
-    flipped = signed_form(form, flip)
-    if not is_phi_isomorphism(flipped, f).is_isomorphism:
-        return False
-    na = form_image(flipped, f.domain).size
-    nb = form_image(flipped, f.codomain).size
-    return na == nb
+    verdict, _, akeys, bkeys, _ = _coincidences(signed_form(form, flip), f)
+    return verdict.is_isomorphism and len(set(akeys)) == len(set(bkeys))
 
 
 @dataclass(frozen=True)

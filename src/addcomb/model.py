@@ -342,6 +342,23 @@ def clear_denominators(form: LinearForm) -> tuple[LinearForm, int]:
     return LinearForm(tuple(as_rational(m * c) for c in form.coeffs)), m
 
 
+def integer_columns(elements: Sequence[Scalar]) -> tuple[list, int]:
+    """The elements' exact coordinates times one positive integer m, the lcm
+    of their denominators, as integer columns in element order: one column
+    for rationals, one per basis coordinate for RealElements.
+
+    Returns (columns, m). The map x -> m*x is linear and injective, so an
+    integral form's values over the columns coincide exactly where its
+    values over the elements do; for rationals they also keep their order.
+    """
+    if isinstance(elements[0], RealElement):
+        columns = list(zip(*(x.coords for x in elements)))
+    else:
+        columns = [elements]
+    m = math.lcm(*(c.denominator for col in columns for c in col))
+    return [[c.numerator * (m // c.denominator) for c in col] for col in columns], m
+
+
 def affine_image(A: FiniteSet, lam, mu) -> FiniteSet:
     """The set {lam*a + mu : a in A}; lam must be nonzero so the map is
     injective. mu may be rational even when A is symbolic (the constant-1

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .model import FiniteSet, as_rational
+from .model import FiniteSet, as_rational, integer_columns
 
 
 class PositiveSet:
@@ -51,14 +52,24 @@ class MptqVerdict:
 
 
 def product_quotient_counts(B: PositiveSet) -> MptqVerdict:
-    """Exact product and quotient set sizes over all ordered pairs."""
+    """Exact product and quotient set sizes over all ordered pairs.
+
+    The elements are scaled to integers n_i by one positive factor, which
+    keeps products distinct exactly when they were and leaves quotients
+    unchanged. Products are counted as n_i*n_j and quotients as reduced
+    pairs; a quotient q > 1 (i < j, as the n_i increase) comes with 1/q, and
+    1 is the only other one.
+    """
+    (ns,), _ = integer_columns(B.elements)
     prods = set()
     quots = set()
-    for a in B:
-        for b in B:
+    for i, a in enumerate(ns):
+        for b in ns[i:]:
             prods.add(a * b)
-            quots.add(Fraction(a) / Fraction(b))
-    return MptqVerdict(len(prods), len(quots), len(prods) > len(quots))
+            g = gcd(a, b)
+            quots.add((b // g, a // g))
+    quotient_count = 2 * len(quots) - 1
+    return MptqVerdict(len(prods), quotient_count, len(prods) > quotient_count)
 
 
 def exp_transport(A: FiniteSet, c: int) -> PositiveSet:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ApproximationError, BudgetExceededError, CertificateError
 from .images import form_image
 from .isomorphism import IsoVerdict, SetBijection, is_phi_isomorphism
-from .model import FiniteSet, LinearForm, clear_denominators
+from .model import FiniteSet, LinearForm, clear_denominators, integer_columns
 from .simplex import feasible_point
 
 #: hard ceiling on k^2h, the ordered tuple pairs realize_lp orders
@@ -134,13 +134,6 @@ def _base_encode(A: LatticeSet, form: LinearForm) -> tuple[list, EmbeddingParams
     return values, EmbeddingParams(a_star, phi_star, h, lam)
 
 
-def _coordinate_rows(A: FiniteSet) -> tuple[list, int]:
-    """Element coordinate vectors (rationals) and the ambient dimension."""
-    if A.basis is None:
-        return [(a,) for a in A.elements], 1
-    return [x.coords for x in A.elements], A.basis.dimension
-
-
 def _finish(A: FiniteSet, form: LinearForm, raw_values: list, method: str, params) -> RealizationResult:
     """Translate positive, build the pairing, and verify it exhaustively."""
     raw = FiniteSet(raw_values)
@@ -164,9 +157,8 @@ def realize_group(A: FiniteSet, form: LinearForm) -> RealizationResult:
     Scaling by a positive integer and the coordinate map itself both
     preserve coincidences exactly, so only the embedding needs a certificate.
     """
-    rows, dim = _coordinate_rows(A)
-    m = math.lcm(*(Fraction(c).denominator for row in rows for c in row))
-    lattice = LatticeSet(dim, [tuple(m * c for c in row) for row in rows])
+    columns, _ = integer_columns(A.elements)
+    lattice = LatticeSet(len(columns), list(zip(*columns)))
     iform, _ = clear_denominators(form)
     raw, params = _base_encode(lattice, iform)
     return _finish(A, form, raw, "group", params)

@@ -11,9 +11,18 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
-from addcomb import BasisDecl, FiniteSet, LinearForm, realize
+from addcomb import (
+    BasisDecl,
+    CertificateError,
+    FiniteSet,
+    InducedMap,
+    IsoVerdict,
+    LinearForm,
+    realize,
+)
 
 SQRT2 = 1.4142135623730951
 SQRT3 = 1.7320508075688772
@@ -41,6 +50,68 @@ def naive_multiplicities(coeffs, elements) -> dict:
 
 def naive_image(coeffs, elements) -> set:
     return set(naive_multiplicities(coeffs, elements))
+
+
+def naive_values(coeffs, elements) -> list:
+    """Form value of every ordered tuple, in lexicographic index order."""
+    zero = 0 * elements[0]
+    return [
+        sum((c * t for c, t in zip(coeffs, tup) if c != 0), zero)
+        for tup in itertools.product(elements, repeat=len(coeffs))
+    ]
+
+
+def value_walk(form: LinearForm, f):
+    """The coincidence walk keyed by the exact values themselves.
+
+    Returns the verdict, the map value -> (image value, first position) and
+    both value tables: the reference for the integer-keyed walk in
+    ``addcomb.isomorphism``, which must give the same verdict and witness.
+    """
+    k, h = len(f.domain), form.arity
+    avals = naive_values(form.coeffs, f.domain.elements)
+    bvals = naive_values(form.coeffs, f.mapped_elements())
+    forward: dict = {}
+    backward: dict = {}
+    homo_fail = inv_fail = None
+    for pos, (va, vb) in enumerate(zip(avals, bvals)):
+        seen = forward.get(va)
+        if seen is None:
+            forward[va] = (vb, pos)
+        elif homo_fail is None and seen[0] != vb:
+            homo_fail = (seen[1], pos)
+        seen = backward.get(vb)
+        if seen is None:
+            backward[vb] = (va, pos)
+        elif inv_fail is None and seen[0] != va:
+            inv_fail = (seen[1], pos)
+        if homo_fail is not None and inv_fail is not None:
+            break
+    fails = [t for t in (homo_fail, inv_fail) if t is not None]
+    witness = None
+    if fails:
+        u, v = min(fails, key=lambda t: t[1])
+        tuples = list(itertools.product(range(k), repeat=h))
+        witness = (tuples[u], tuples[v])
+    return IsoVerdict(homo_fail is None, not fails, witness), forward, avals, bvals
+
+
+def value_induced_bijection(form: LinearForm, f) -> InducedMap:
+    """induced_bijection over the value walk, values ordered by FiniteSet."""
+    verdict, forward, avals, bvals = value_walk(form, f)
+    if not verdict.is_isomorphism:
+        raise ValueError(f"bijection is not an isomorphism (witness {verdict.witness})")
+    ma, mb = Counter(avals), Counter(bvals)
+    pairs = []
+    for x in FiniteSet(forward):
+        y = forward[x][0]
+        mx, my = ma[x], mb[y]
+        if mx != my:
+            raise CertificateError(f"multiplicity mismatch at {x} -> {y}: {mx} != {my}")
+        pairs.append((x, y, mx))
+    if len({y for _, y, _ in pairs}) != len(pairs):
+        raise CertificateError("induced map is not injective")
+    return InducedMap(tuple(pairs))
 
 
 def random_form(rng: random.Random, max_arity: int = 3, bound: int = 3) -> LinearForm:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -20,10 +21,25 @@ from addcomb import (
     induced_bijection,
     is_phi_isomorphism,
     anchor_normalize,
+    exp_transport,
+    is_mstd,
+    product_quotient_counts,
+    realize,
 )
 from addcomb import isomorphism
 from addcomb.model import value_table
-from helpers import BASIS_SQRT2, naive_multiplicities, random_form, random_int_set
+import helpers
+from helpers import (
+    BASIS_SQRT2,
+    BASIS_SQRT23,
+    BASIS_UNIT,
+    naive_multiplicities,
+    random_form,
+    random_int_set,
+    random_rational,
+    value_induced_bijection,
+    value_walk,
+)
 
 REFLECTED = affine_image(CANONICAL_MSTD8, -1, 14)
 
@@ -240,6 +256,174 @@ class TestInducedBijection:
         F = induced_bijection(SUM_FORM, reflection_bijection())
         assert calls == [8, 8]
         assert len(F) == 26
+
+
+#: the oracle cases' forms beyond random ones: rational and zero coefficients
+ORACLE_FORMS = (LinearForm.parse("1/2,-3/4"), LinearForm.parse("0,1"))
+SET_KINDS = ("integer", "rational", "symbolic-1", "symbolic-2", "symbolic-3")
+
+
+def random_set(rng: random.Random, kind: str, kmax: int) -> FiniteSet:
+    """A set of up to kmax elements: integers, rationals, or symbolic reals
+    over a basis of dimension 1, 2 or 3 with rational coordinates."""
+    k = rng.randint(1, kmax)
+    if kind == "integer":
+        return FiniteSet(rng.sample(range(-20, 21), k))
+    if kind == "rational":
+        return FiniteSet(random_rational(rng) for _ in range(k))
+    basis = {"symbolic-1": BASIS_UNIT, "symbolic-2": BASIS_SQRT2, "symbolic-3": BASIS_SQRT23}[kind]
+    coords = [
+        (random_rational(rng),) + tuple(rng.randint(-2, 2) for _ in range(basis.dimension - 1))
+        for _ in range(k)
+    ]
+    return FiniteSet(basis.element(c) for c in coords)
+
+
+def oracle_case(rng: random.Random, kind: str):
+    """A form and a bijection out of a set of the given kind: onto an affine
+    image, a group-route realization or a progression, its pairing
+    sometimes shuffled."""
+    if rng.random() < 0.3:
+        form = rng.choice(ORACLE_FORMS)
+    else:
+        form = random_form(rng)
+        if rng.random() < 0.5:
+            form = LinearForm(tuple(Fraction(c, rng.randint(1, 4)) for c in form.coeffs))
+    A = random_set(rng, kind, 7 if form.arity < 3 else 5)
+    route = rng.randrange(3)
+    if route == 0:
+        lam = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        mu = random_rational(rng)
+        f = SetBijection.from_function(A, affine_image(A, lam, mu), lambda x: lam * x + mu)
+    elif route == 1:
+        f = realize(A, form, "group").mapping
+    else:
+        # a progression has every coincidence a form can have on k points
+        f = SetBijection.by_order(A, FiniteSet(Fraction(i, 2) for i in range(len(A))))
+    if rng.random() < 0.4:
+        perm = list(f.perm)
+        rng.shuffle(perm)
+        f = SetBijection(f.domain, f.codomain, tuple(perm))
+    return form, f
+
+
+def induced_or_error(induce, form, f):
+    try:
+        return induce(form, f)
+    except (ValueError, CertificateError) as exc:
+        return exc
+
+
+def assert_same_induced(form, f):
+    want = induced_or_error(value_induced_bijection, form, f)
+    got = induced_or_error(induced_bijection, form, f)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got.pairs == want.pairs
+    # the same kind and printed form of every value, not only equal ones
+    assert [tuple(map(str, p)) for p in got.pairs] == [tuple(map(str, p)) for p in want.pairs]
+
+
+class TestIntegerKeysAgainstValueWalk:
+    def test_verdicts_witnesses_and_induced_maps(self):
+        rng = random.Random(41)
+        outcomes = set()
+        for i in range(400):
+            kind = SET_KINDS[i % len(SET_KINDS)]
+            form, f = oracle_case(rng, kind)
+            verdict = is_phi_isomorphism(form, f)
+            assert verdict == value_walk(form, f)[0]
+            assert_same_induced(form, f)
+            outcomes.add((kind, form.arity, verdict.is_isomorphism))
+        assert outcomes == {
+            (kind, h, iso) for kind in SET_KINDS for h in (1, 2, 3) for iso in (False, True)
+        } - {(kind, 1, False) for kind in SET_KINDS}
+
+    def test_dimension_one_basis_decodes_to_symbolic_reals(self):
+        A = FiniteSet(BASIS_UNIT.element((q,)) for q in (Fraction(1, 2), 2, Fraction(-5, 3)))
+        f = realize(A, SUM_FORM, "group").mapping
+        F = induced_bijection(SUM_FORM, f)
+        assert all(x.basis == BASIS_UNIT for x, _, _ in F.pairs)
+        assert F.pairs == value_induced_bijection(SUM_FORM, f).pairs
+
+    def test_multiplicity_mismatch_message(self, monkeypatch):
+        def bump_codomain_count(counter):
+            """Counter, except that every second one (the codomain side's)
+            counts its last item once more."""
+            made = []
+
+            def make(items):
+                items = list(items)
+                out = counter(items)
+                made.append(out)
+                if len(made) % 2 == 0:
+                    out[items[-1]] += 1
+                return out
+
+            return make
+
+        rng = random.Random(43)
+        checked = 0
+        for i in range(40):
+            form, f = oracle_case(rng, SET_KINDS[i % len(SET_KINDS)])
+            if not is_phi_isomorphism(form, f).is_isomorphism:
+                continue
+            checked += 1
+            monkeypatch.setattr(isomorphism, "Counter", bump_codomain_count(isomorphism.Counter))
+            monkeypatch.setattr(helpers, "Counter", bump_codomain_count(helpers.Counter))
+            want = induced_or_error(value_induced_bijection, form, f)
+            assert isinstance(want, CertificateError)
+            assert "multiplicity mismatch" in str(want)
+            assert_same_induced(form, f)
+            monkeypatch.undo()
+        assert checked >= 20
+
+
+def certify_inputs(rng: random.Random):
+    """240 inputs shaped like the certify benchmark's, but smaller: integer,
+    rational and symbolic sets in turn, forms 1,1 / 1,-1 / 2,-3 and 1,1,-1;
+    integer sets carry a base for the multiplicative mirror."""
+    forms2 = (LinearForm((1, 1)), LinearForm((1, -1)), LinearForm((2, -3)))
+    for i in range(240):
+        kind = ("integer", "rational", "symbolic")[i % 3]
+        if i % 4 == 3:
+            form, k = LinearForm((1, 1, -1)), 4 + (i * 5) % 5
+        else:
+            form, k = forms2[(i // 4) % 3], 6 + (i * 7) % 15
+        base = None
+        if kind == "integer":
+            A = FiniteSet(rng.sample(range(-3 * k, 3 * k + 1), k))
+            base = rng.choice((2, 3, 5))
+        elif kind == "rational":
+            els: set = set()
+            while len(els) < k:
+                els.add(Fraction(rng.randint(-6 * k, 6 * k), rng.choice((1, 2, 3, 4, 6))))
+            A = FiniteSet(els)
+        else:
+            coords: set = set()
+            while len(coords) < k:
+                coords.add((Fraction(rng.randint(-12, 12), rng.choice((1, 2))),
+                            rng.randint(-3, 3), rng.randint(-2, 2)))
+            A = FiniteSet(BASIS_SQRT23.element(c) for c in coords)
+        yield A, form, base
+
+
+#: sha256 over (B, certificate, induced pairs, is_mstd, MPTQ counts) of the
+#: 240 certify_inputs(random.Random(20261018)), taken with the value-keyed walk
+CERTIFY_SHA256 = "1a43317e260025b5d687ee044eda0df6da7489145d7605d8888e3c8638a45b73"
+
+
+def test_certify_outputs_are_pinned():
+    h = hashlib.sha256()
+    for A, form, base in certify_inputs(random.Random(20261018)):
+        r = realize(A, form, "group")
+        mirror = None
+        if base is not None:
+            mirror = (is_mstd(A), product_quotient_counts(exp_transport(A, base)))
+        key = (r.B.elements, r.certificate, induced_bijection(form, r.mapping).pairs, mirror)
+        h.update(repr(key).encode() + b"\n")
+    assert h.hexdigest() == CERTIFY_SHA256
 
 
 class TestSignedTransfer:

@@ -56,6 +56,33 @@ class TestProductQuotientCounts:
             assert v.quotient_count % 2 == 1
 
 
+def naive_counts(elements) -> tuple[int, int]:
+    """|B*B| and |B/B| as sets of Fractions over all ordered pairs."""
+    fs = [Fraction(b) for b in elements]
+    return len({a * b for a in fs for b in fs}), len({a / b for a in fs for b in fs})
+
+
+class TestProductQuotientOracle:
+    def test_positive_rational_sets(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            k = rng.randint(1, 9)
+            B = PositiveSet(
+                Fraction(rng.randint(1, 40), rng.choice((1, 2, 3, 4, 6, 9))) for _ in range(k)
+            )
+            v = product_quotient_counts(B)
+            assert (v.product_count, v.quotient_count) == naive_counts(B.elements)
+            assert v.is_mptq == (v.product_count > v.quotient_count)
+
+    def test_transported_sets_with_negative_exponents(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            A = random_int_set(rng, lo=-12, hi=12, kmax=8)
+            B = exp_transport(A, rng.choice((2, 3, 5, 6)))
+            v = product_quotient_counts(B)
+            assert (v.product_count, v.quotient_count) == naive_counts(B.elements)
+
+
 class TestTransport:
     def test_exp_of_worked_example(self):
         B = exp_transport(CANONICAL_MSTD8, 2)
