@@ -3,22 +3,68 @@
 The image of a form over A is the value set over all |A|^h ordered tuples;
 the multiplicity of an image value x counts the ordered tuples realizing it.
 Sumsets and difference sets are the h = 2 special cases.
+
+Form values are computed here, for the whole package, as exact integer keys
+that coincide where the values do; only a shown or ordered key is decoded.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .model import (
     DIFFERENCE_FORM,
     SUM_FORM,
     FiniteSet,
     LinearForm,
+    RealElement,
     Scalar,
+    clear_denominators,
+    integer_columns,
     signed_form,
     value_table,
 )
+
+
+def form_keys(form: LinearForm, elements) -> tuple[list, int]:
+    """Exact integer keys of the form's values over all ordered tuples of the
+    elements, in tuple order, and their scale m * the form's multiplier (both
+    positive): int keys for one integer column, int tuples for several."""
+    iform, mult = clear_denominators(form)
+    columns, m = integer_columns(elements)
+    tables = [value_table(iform, col) for col in columns]
+    keys = tables[0] if len(tables) == 1 else list(zip(*tables))
+    return keys, m * mult
+
+
+def _exact(n: int, scale: int):
+    q, r = divmod(n, scale)
+    return q if r == 0 else Fraction(n, scale)
+
+
+def decode(keys, scale: int, basis) -> list:
+    """The exact values behind keys: each coordinate over scale, as
+    rationals (basis None) or RealElements over the basis."""
+    if basis is None:
+        return keys if scale == 1 else [_exact(n, scale) for n in keys]
+    if basis.dimension == 1:
+        keys = [(n,) for n in keys]
+    return [RealElement(basis, tuple(_exact(n, scale) for n in key)) for key in keys]
+
+
+def image_order(keys, scale: int, basis) -> tuple[list, list]:
+    """The distinct keys in increasing order of their values, and the values;
+    a symbolic order comes from FiniteSet (ValueError on a float tie)."""
+    if basis is None:
+        ordered = sorted(keys)
+        return ordered, decode(ordered, scale, None)
+    keys = list(keys)
+    values = decode(keys, scale, basis)
+    key_of = {x.coords: key for key, x in zip(keys, values)}
+    values = list(FiniteSet(values))
+    return [key_of[x.coords] for x in values], values
 
 
 @dataclass(frozen=True)
@@ -37,9 +83,12 @@ class ImageReport:
 
 
 def form_image(form: LinearForm, A: FiniteSet) -> ImageReport:
-    """Evaluate the form over all ordered tuples of A and group by value."""
-    counts = Counter(value_table(form, A.elements))
-    return ImageReport(FiniteSet(counts), counts)
+    """Evaluate the form over all ordered tuples of A and group by value; each
+    distinct key is decoded once, and FiniteSet orders the values."""
+    keys, scale = form_keys(form, A.elements)
+    counts = Counter(keys)
+    values = decode(list(counts), scale, A.basis)
+    return ImageReport(FiniteSet(values), Counter(dict(zip(values, counts.values()))))
 
 
 def rep_function(form: LinearForm, A: FiniteSet, x) -> int:
@@ -55,9 +104,9 @@ class MstdVerdict:
 
 
 def is_mstd(A: FiniteSet) -> MstdVerdict:
-    """Compare |A+A| against |A-A|; "more sums than differences" is strict."""
-    s = form_image(SUM_FORM, A).size
-    d = form_image(DIFFERENCE_FORM, A).size
+    """Compare |A+A| against |A-A| as counts of distinct keys; MSTD is strict."""
+    s = len(set(form_keys(SUM_FORM, A.elements)[0]))
+    d = len(set(form_keys(DIFFERENCE_FORM, A.elements)[0]))
     return MstdVerdict(s, d, s > d)
 
 

@@ -3,10 +3,9 @@
 A bijection f preserves a form when two tuples share a form value on the
 domain side exactly when their images share a value on the codomain side.
 The check groups index tuples by exact value on each side and compares the
-two partitions, which is O(k^h) groupings instead of all k^{2h} pairs. A
-value is keyed by an exact integer (a tuple of them over a basis): the
-form's denominators are cleared and the elements' coordinates scaled to
-integers, both by positive factors, so keys coincide exactly where values do.
+two partitions, which is O(k^h) groupings instead of all k^{2h} pairs.
+Values are the exact integer keys of ``images.form_keys``, which coincide
+exactly where values do; ``images`` also decodes and orders them.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError
-# form_image stays a module attribute: perfbench/spans.py wraps it here
-from .images import form_image, is_mstd  # noqa: F401
+# form_image and value_table stay module attributes: perfbench/spans.py wraps them here
+from .images import decode, form_image, form_keys, image_order, is_mstd, value_table  # noqa: F401
 from .model import (
     SUM_FORM,
     FiniteSet,
@@ -25,10 +24,7 @@ from .model import (
     RealElement,
     Scalar,
     as_rational,
-    clear_denominators,
-    integer_columns,
     signed_form,
-    value_table,
 )
 
 #: the unique 8-element integer set, up to affine maps, with more sums than
@@ -117,47 +113,18 @@ def _unrank(pos: int, k: int, h: int) -> tuple:
     return tuple(out)
 
 
-def _keys(form: LinearForm, elements) -> tuple[list, int]:
-    """Exact integer keys of an integral form's values over all ordered
-    tuples, in tuple order, and the scale m of the elements' integer columns.
-
-    One value table per integer column of the elements: a single column
-    gives int keys, several give tuples of ints. Two tuples share a key
-    exactly when they share a value.
-    """
-    columns, m = integer_columns(elements)
-    tables = [value_table(form, col) for col in columns]
-    keys = tables[0] if len(tables) == 1 else list(zip(*tables))
-    return keys, m
-
-
-def _exact(n: int, scale: int):
-    q, r = divmod(n, scale)
-    return q if r == 0 else Fraction(n, scale)
-
-
-def _decode(keys: list, scale: int, basis) -> list:
-    """The exact values behind keys: each coordinate over scale."""
-    if basis is None:
-        return keys if scale == 1 else [_exact(n, scale) for n in keys]
-    if basis.dimension == 1:
-        keys = [(n,) for n in keys]
-    return [RealElement(basis, tuple(_exact(n, scale) for n in key)) for key in keys]
-
-
 def _coincidences(form: LinearForm, f: SetBijection):
     """The one walk over both sides' keys, in tuple order.
 
     Each side maps a key to (the other side's key, its first position); a
     later position that disagrees is the first failure in that direction.
     Returns the verdict, the domain-side map, the two key tables and the
-    two scales that _decode needs.
+    two scales that decode needs.
     """
     k = len(f.domain)
     h = form.arity
-    iform, mult = clear_denominators(form)
-    akeys, ma = _keys(iform, f.domain.elements)
-    bkeys, mb = _keys(iform, f.mapped_elements())
+    akeys, sa = form_keys(form, f.domain.elements)
+    bkeys, sb = form_keys(form, f.mapped_elements())
     forward: dict = {}
     backward: dict = {}
     homo_fail = inv_fail = None
@@ -180,7 +147,7 @@ def _coincidences(form: LinearForm, f: SetBijection):
         u, v = min(fails, key=lambda t: t[1])
         witness = (_unrank(u, k, h), _unrank(v, k, h))
     verdict = IsoVerdict(homo_fail is None, not fails, witness)
-    return verdict, forward, akeys, bkeys, (ma * mult, mb * mult)
+    return verdict, forward, akeys, bkeys, (sa, sb)
 
 
 def is_phi_isomorphism(form: LinearForm, f: SetBijection) -> IsoVerdict:
@@ -214,24 +181,15 @@ class InducedMap:
 def induced_bijection(form: LinearForm, f: SetBijection) -> InducedMap:
     """Build the induced value map and verify multiplicities transfer.
 
-    Multiplicities are counted over the keys, and each distinct key is
-    decoded once. A rational domain is ordered by its keys, which the
-    positive scale leaves in value order; a symbolic one through FiniteSet.
+    Multiplicities are counted over the keys; images.image_order puts the
+    domain's distinct keys in value order and decodes each once.
     """
     verdict, forward, akeys, bkeys, (sa, sb) = _coincidences(form, f)
     if not verdict.is_isomorphism:
         raise ValueError(f"bijection is not an isomorphism (witness {verdict.witness})")
-    if f.domain.basis is None:
-        xkeys = sorted(forward)
-        xs = _decode(xkeys, sa, None)
-    else:
-        keys = list(forward)
-        values = _decode(keys, sa, f.domain.basis)
-        key_of = {x.coords: key for key, x in zip(keys, values)}
-        xs = FiniteSet(values).elements
-        xkeys = [key_of[x.coords] for x in xs]
+    xkeys, xs = image_order(forward, sa, f.domain.basis)
     ykeys = [forward[key][0] for key in xkeys]
-    ys = _decode(ykeys, sb, f.codomain.basis)
+    ys = decode(ykeys, sb, f.codomain.basis)
     ma, mb = Counter(akeys), Counter(bkeys)
     pairs = []
     for xkey, ykey, x, y in zip(xkeys, ykeys, xs, ys):

@@ -379,8 +379,8 @@ def check_tuple_budget(k: int, h: int):
 
 def value_table(form: LinearForm, elements: Sequence[Scalar]) -> list:
     """Values of the form over all ordered tuples, in lexicographic index
-    order (first slot most significant). Built by partial sums, so the cost
-    is O(k + k^2 + ... + k^h) additions."""
+    order (first slot most significant), by partial sums in O(k + k^2 + ...
+    + k^h) additions. images.form_keys calls it on integer columns."""
     check_tuple_budget(len(elements), form.arity)
     scaled = [[c * e for e in elements] for c in form.coeffs]
     vals = scaled[0]

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ApproximationError, BudgetExceededError, CertificateError
-from .images import form_image
+from .images import form_image, form_keys, image_order
 from .isomorphism import IsoVerdict, SetBijection, is_phi_isomorphism
 from .model import FiniteSet, LinearForm, clear_denominators, integer_columns
 from .simplex import feasible_point
@@ -292,23 +293,19 @@ def realize_lp(A: FiniteSet, form: LinearForm) -> RealizationResult:
     iform, _ = clear_denominators(form)
     coeffs = iform.coeffs
 
-    vecs: set = set()
-    for tup in itertools.product(range(k), repeat=h):
+    # group the tuples' coefficient vectors by the key of their value
+    keys, scale = form_keys(iform, A.elements)
+    groups = defaultdict(set)
+    for tup, key in zip(itertools.product(range(k), repeat=h), keys):
         v = [0] * k
         for c, i in zip(coeffs, tup):
             v[i] += c
-        vecs.add(tuple(v))
-
-    zero = 0 * A.elements[0]  # zero of the right kind (rational or symbolic)
-    groups: dict = {}
-    for vec in vecs:
-        val = sum((c * a for c, a in zip(vec, A.elements) if c), zero)
-        groups.setdefault(val, []).append(vec)
+        groups[key].add(tuple(v))
     try:
-        ordering = FiniteSet(groups.keys())
+        order, _ = image_order(groups, scale, A.basis)
     except ValueError as exc:
         raise ApproximationError(f"cannot order the form values: {exc}") from None
-    classes = [sorted(groups[val]) for val in ordering]
+    classes = [sorted(groups[key]) for key in order]
 
     equations = []
     for cls in classes:
@@ -328,7 +325,7 @@ def realize_lp(A: FiniteSet, form: LinearForm) -> RealizationResult:
     m = math.lcm(*(x.denominator for x in t))
     raw = [int(m * x) for x in t]
     _check_class_structure(classes, raw)
-    params = LpParams(len(vecs), stats.equations, stats.inequalities, stats.pivots)
+    params = LpParams(sum(map(len, classes)), stats.equations, stats.inequalities, stats.pivots)
     return _finish(A, form, raw, "lp", params)
 
 

@@ -1,4 +1,4 @@
-"""Reading and writing the plain-text set file format.
+"""Parsing and formatting the plain-text set file format, and reading set files.
 
 Layout::
 
@@ -104,7 +104,3 @@ def read_set_file(path) -> FiniteSet:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_set(fh.read())
 
-
-def write_set_file(path, A: FiniteSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_set(A))

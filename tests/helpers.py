@@ -131,6 +131,27 @@ def random_rational(rng: random.Random, num: int = 12, den: int = 4) -> Fraction
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 
 
+#: the oracle cases' forms beyond random ones: rational and zero coefficients
+ORACLE_FORMS = (LinearForm.parse("1/2,-3/4"), LinearForm.parse("0,1"))
+SET_KINDS = ("integer", "rational", "symbolic-1", "symbolic-2", "symbolic-3")
+
+
+def random_set(rng: random.Random, kind: str, kmax: int) -> FiniteSet:
+    """A set of up to kmax elements: integers, rationals, or symbolic reals
+    over a basis of dimension 1, 2 or 3 with rational coordinates."""
+    k = rng.randint(1, kmax)
+    if kind == "integer":
+        return FiniteSet(rng.sample(range(-20, 21), k))
+    if kind == "rational":
+        return FiniteSet(random_rational(rng) for _ in range(k))
+    basis = {"symbolic-1": BASIS_UNIT, "symbolic-2": BASIS_SQRT2, "symbolic-3": BASIS_SQRT23}[kind]
+    coords = [
+        (random_rational(rng),) + tuple(rng.randint(-2, 2) for _ in range(basis.dimension - 1))
+        for _ in range(k)
+    ]
+    return FiniteSet(basis.element(c) for c in coords)
+
+
 def realization_suite() -> list[FiniteSet]:
     """25 deterministic sets over the three bases, sizes cycling 2..8.
 

@@ -301,3 +301,37 @@ def test_dirichlet_on_element_too_large_for_float_exit_code(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+#: A = {0, 1, t, 3} with t declared as 2.0: the sums 2 and t tie in floats
+TIE_SET = "basis: 1=1.0, t=2.0\n0, 0\n1, 0\n0, 1\n3, 0\n"
+TIE_MESSAGE = (
+    "float tie between distinct symbolic reals (0, 1) and (2, 0); "
+    "basis approximations cannot order them"
+)
+
+
+@pytest.fixture
+def tie(tmp_path):
+    p = tmp_path / "tie.set"
+    p.write_text(TIE_SET)
+    return str(p)
+
+
+def test_mstd_counts_a_float_tie_without_ordering(capsys, tie):
+    code, out, err = run(capsys, "mstd", tie)
+    assert (code, out, err) == (0, "sum=10 diff=13 MSTD=no\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("image", "--form", "1,1"), ""),
+        (("realize", "--method", "dirichlet", "--form", "1,1"), "cannot order the form image: "),
+        (("realize", "--method", "lp", "--form", "1,1"), "cannot order the form values: "),
+    ],
+)
+def test_ordering_a_float_tie_is_one_line(capsys, tie, argv, prefix):
+    code, out, err = run(capsys, *argv, tie)
+    assert (code, out) == (1, "")
+    assert err == f"error: {prefix}{TIE_MESSAGE}\n"

@@ -7,6 +7,7 @@ from addcomb import (
     CANONICAL_MSTD8,
     DIFFERENCE_FORM,
     SUM_FORM,
+    BasisDecl,
     FiniteSet,
     LinearForm,
     check_symmetric_equality,
@@ -16,9 +17,21 @@ from addcomb import (
     rep_function,
     symmetry_center,
 )
-from helpers import naive_multiplicities, random_form, random_int_set
+from helpers import (
+    ORACLE_FORMS,
+    SET_KINDS,
+    naive_multiplicities,
+    random_form,
+    random_int_set,
+    random_set,
+)
 
 TRIPLE_SUM = LinearForm((1, 1, 1))
+
+#: {0, 1, t, 3} with t declared as 2.0: A+A holds 2 and t, distinct values
+#: that no float comparison can order
+TIE_BASIS = BasisDecl(("1", "t"), (1.0, 2.0))
+TIE_SET = FiniteSet(TIE_BASIS.element(c) for c in ((0, 0), (1, 0), (0, 1), (3, 0)))
 
 
 class TestFormImage:
@@ -47,11 +60,21 @@ class TestFormImage:
 
     def test_matches_naive_oracle(self):
         rng = random.Random(17)
-        for _ in range(60):
-            A = random_int_set(rng, kmax=6)
-            f = random_form(rng)
+        for i in range(200):
+            kind = SET_KINDS[i % len(SET_KINDS)]
+            if rng.random() < 0.3:
+                f = rng.choice(ORACLE_FORMS)
+            else:
+                f = random_form(rng)
+                if rng.random() < 0.5:
+                    f = LinearForm(tuple(Fraction(c, rng.randint(1, 4)) for c in f.coeffs))
+            A = random_set(rng, kind, 6 if f.arity < 3 else 4)
             report = form_image(f, A)
-            assert report.multiplicities == naive_multiplicities(f.coeffs, A.elements)
+            want = naive_multiplicities(f.coeffs, A.elements)
+            assert report.multiplicities == want
+            values = sorted(want, key=float)
+            assert list(report.image.elements) == values
+            assert [str(x) for x in report.image] == [str(x) for x in values]
 
     def test_multiplicities_sum_to_tuple_count(self):
         rng = random.Random(23)
@@ -87,6 +110,21 @@ class TestIsMstd:
     def test_singleton(self):
         v = is_mstd(FiniteSet([0]))
         assert (v.sum_count, v.diff_count, v.is_mstd) == (1, 1, False)
+
+    def test_float_tie_is_counted_not_ordered(self):
+        v = is_mstd(TIE_SET)
+        assert (v.sum_count, v.diff_count, v.is_mstd) == (10, 13, False)
+        with pytest.raises(ValueError, match="float tie"):
+            form_image(SUM_FORM, TIE_SET)
+
+    def test_symbolic_sizes_match_naive_oracle(self):
+        rng = random.Random(29)
+        for i in range(60):
+            A = random_set(rng, SET_KINDS[i % len(SET_KINDS)], 8)
+            v = is_mstd(A)
+            s = len(naive_multiplicities((1, 1), A.elements))
+            d = len(naive_multiplicities((1, -1), A.elements))
+            assert (v.sum_count, v.diff_count, v.is_mstd) == (s, d, s > d)
 
     def test_count_bounds(self):
         rng = random.Random(31)

@@ -26,17 +26,20 @@ from addcomb import (
     product_quotient_counts,
     realize,
 )
-from addcomb import isomorphism
+from addcomb import images, isomorphism
 from addcomb.model import value_table
 import helpers
 from helpers import (
     BASIS_SQRT2,
     BASIS_SQRT23,
     BASIS_UNIT,
+    ORACLE_FORMS,
+    SET_KINDS,
     naive_multiplicities,
     random_form,
     random_int_set,
     random_rational,
+    random_set,
     value_induced_bijection,
     value_walk,
 )
@@ -251,32 +254,13 @@ class TestInducedBijection:
         def no_form_image(*args):
             raise AssertionError("induced_bijection must not call form_image")
 
-        monkeypatch.setattr(isomorphism, "value_table", counting_value_table)
+        # the tables are built in images, behind form_keys
+        monkeypatch.setattr(images, "value_table", counting_value_table)
+        monkeypatch.setattr(images, "form_image", no_form_image)
         monkeypatch.setattr(isomorphism, "form_image", no_form_image)
         F = induced_bijection(SUM_FORM, reflection_bijection())
         assert calls == [8, 8]
         assert len(F) == 26
-
-
-#: the oracle cases' forms beyond random ones: rational and zero coefficients
-ORACLE_FORMS = (LinearForm.parse("1/2,-3/4"), LinearForm.parse("0,1"))
-SET_KINDS = ("integer", "rational", "symbolic-1", "symbolic-2", "symbolic-3")
-
-
-def random_set(rng: random.Random, kind: str, kmax: int) -> FiniteSet:
-    """A set of up to kmax elements: integers, rationals, or symbolic reals
-    over a basis of dimension 1, 2 or 3 with rational coordinates."""
-    k = rng.randint(1, kmax)
-    if kind == "integer":
-        return FiniteSet(rng.sample(range(-20, 21), k))
-    if kind == "rational":
-        return FiniteSet(random_rational(rng) for _ in range(k))
-    basis = {"symbolic-1": BASIS_UNIT, "symbolic-2": BASIS_SQRT2, "symbolic-3": BASIS_SQRT23}[kind]
-    coords = [
-        (random_rational(rng),) + tuple(rng.randint(-2, 2) for _ in range(basis.dimension - 1))
-        for _ in range(k)
-    ]
-    return FiniteSet(basis.element(c) for c in coords)
 
 
 def oracle_case(rng: random.Random, kind: str):
