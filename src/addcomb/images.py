@@ -23,6 +23,7 @@ from .model import (
     Scalar,
     clear_denominators,
     integer_columns,
+    real_order,
     signed_form,
     value_table,
 )
@@ -56,15 +57,14 @@ def decode(keys, scale: int, basis) -> list:
 
 def image_order(keys, scale: int, basis) -> tuple[list, list]:
     """The distinct keys in increasing order of their values, and the values;
-    a symbolic order comes from FiniteSet (ValueError on a float tie)."""
+    a symbolic order comes from model.real_order (ValueError on a float tie)."""
     if basis is None:
         ordered = sorted(keys)
         return ordered, decode(ordered, scale, None)
     keys = list(keys)
     values = decode(keys, scale, basis)
-    key_of = {x.coords: key for key, x in zip(keys, values)}
-    values = list(FiniteSet(values))
-    return [key_of[x.coords] for x in values], values
+    order = real_order(values)
+    return [keys[i] for i in order], [values[i] for i in order]
 
 
 @dataclass(frozen=True)

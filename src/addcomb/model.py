@@ -4,8 +4,9 @@ Every quantity in this package is exact. Plain ints and ``fractions.Fraction``
 carry the rational arithmetic; a real number that is not rational is a
 :class:`RealElement`, a vector of rational coordinates over a declared basis
 of reals that the caller asserts to be linearly independent over Q. Floats
-appear in exactly two places: ordering RealElements and the Dirichlet
-denominator search. They never decide an equality.
+appear in exactly two places: :func:`real_order`, the one function that
+orders RealElements, and the Dirichlet denominator search. They never decide
+an equality.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ class BasisDecl:
 class RealElement:
     """A real number given by exact rational coordinates over a BasisDecl.
 
-    Equality is coordinate equality. Order comes from the float value
-    sum(coord_i * approx_i); a float tie between unequal coordinate vectors
-    is a hard error, not a silent misordering.
+    Equality is coordinate equality. Order comes from :func:`real_order`,
+    by the float value sum(coord_i * approx_i); a float tie between unequal
+    coordinate vectors is a hard error, not a silent misordering.
     """
 
     basis: BasisDecl
@@ -133,13 +134,7 @@ class RealElement:
         self._check_basis(other)
         if self.coords == other.coords:
             return 0
-        a, b = float(self), float(other)
-        if a == b:
-            raise ValueError(
-                f"float tie between distinct symbolic reals {self.coords} and "
-                f"{other.coords}; basis approximations cannot order them"
-            )
-        return -1 if a < b else 1
+        return -1 if real_order([self, other])[0] == 0 else 1
 
     def __lt__(self, other):
         return self._order_key(other) < 0
@@ -184,6 +179,31 @@ class RealElement:
         return "<" + (" + ".join(terms) or "0") + ">"
 
 
+def _coords_str(coords: tuple) -> str:
+    return "(" + ", ".join(map(str, coords)) + ("," if len(coords) == 1 else "") + ")"
+
+
+def real_order(values: Sequence[RealElement]) -> list[int]:
+    """Positions of distinct RealElements in increasing order of their floats,
+    each computed once; equal adjacent floats, or one that overflows, raise."""
+    floats = []
+    for x in values:
+        try:
+            floats.append(float(x))
+        except (OverflowError, ValueError):
+            floats.append(math.inf)
+        if not math.isfinite(floats[-1]):
+            raise ValueError(f"symbolic real {_coords_str(x.coords)} is too large for a float")
+    order = sorted(range(len(values)), key=floats.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if floats[i] == floats[j]:
+            raise ValueError(
+                f"float tie between distinct symbolic reals {_coords_str(values[i].coords)} and "
+                f"{_coords_str(values[j].coords)}; basis approximations cannot order them"
+            )
+    return order
+
+
 class FiniteSet:
     """A nonempty, strictly increasing, duplicate-free collection of scalars.
 
@@ -205,10 +225,7 @@ class FiniteSet:
                 if x.basis != basis:
                     raise ValueError("elements lie over different bases")
             distinct = list({x.coords: x for x in items}.values())
-            distinct.sort(key=float)
-            for a, b in zip(distinct, distinct[1:]):
-                a._order_key(b)  # raises on a float tie
-            self.elements: tuple = tuple(distinct)
+            self.elements: tuple = tuple(distinct[i] for i in real_order(distinct))
             self.basis: BasisDecl | None = basis
         else:
             rats = sorted({as_rational(x) for x in items})

@@ -131,6 +131,26 @@ def random_rational(rng: random.Random, num: int = 12, den: int = 4) -> Fraction
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 
 
+#: a basis whose second element floats to 1.0: (1, 0) and (0, 1) tie
+BASIS_GHOST = BasisDecl(("1", "ghost"), (1.0, 1.0))
+
+
+def float_order(values) -> list:
+    """The distinct symbolic reals in increasing order, as the package ordered
+    them before ``model.real_order``: sorted by ``float``, then each adjacent
+    pair compared by fresh floats. A tie raises ValueError naming the pair's
+    coordinate tuples by ``repr``."""
+    distinct = list({x.coords: x for x in values}.values())
+    distinct.sort(key=float)
+    for a, b in zip(distinct, distinct[1:]):
+        if float(a) == float(b):
+            raise ValueError(
+                f"float tie between distinct symbolic reals {a.coords} and "
+                f"{b.coords}; basis approximations cannot order them"
+            )
+    return distinct
+
+
 #: the oracle cases' forms beyond random ones: rational and zero coefficients
 ORACLE_FORMS = (LinearForm.parse("1/2,-3/4"), LinearForm.parse("0,1"))
 SET_KINDS = ("integer", "rational", "symbolic-1", "symbolic-2", "symbolic-3")

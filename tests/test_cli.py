@@ -335,3 +335,37 @@ def test_ordering_a_float_tie_is_one_line(capsys, tie, argv, prefix):
     code, out, err = run(capsys, *argv, tie)
     assert (code, out) == (1, "")
     assert err == f"error: {prefix}{TIE_MESSAGE}\n"
+
+
+def test_tie_message_prints_rational_coordinates_by_str(capsys, tie):
+    code, out, err = run(capsys, "image", "--form", "1/2,-3/4", tie)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: float tie between distinct symbolic reals (0, 0) and (3/2, -3/4); "
+        "basis approximations cannot order them\n"
+    )
+
+
+def test_set_too_large_for_a_float_is_one_line(capsys, tmp_path):
+    p = tmp_path / "huge.set"
+    p.write_text(f"basis: 1=1.0, s=1.4142135623730951\n{10**400}, 0\n0, 1\n")
+    code, out, err = run(capsys, "mstd", str(p))
+    assert (code, out) == (1, "")
+    assert err == f"error: symbolic real ({10**400}, 0) is too large for a float\n"
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("image", "--form", "1,1"), ""),
+        (("realize", "--method", "dirichlet", "--form", "1,1"), "cannot order the form image: "),
+        (("realize", "--method", "lp", "--form", "1,1"), "cannot order the form values: "),
+    ],
+)
+def test_image_too_large_for_a_float_is_one_line(capsys, tmp_path, argv, prefix):
+    """A = {10**308, s} orders, but the sum 2 * 10**308 overflows a float."""
+    p = tmp_path / "huge.set"
+    p.write_text(f"basis: 1=1.0, s=1.4142135623730951\n{10**308}, 0\n0, 1\n")
+    code, out, err = run(capsys, *argv, str(p))
+    assert (code, out) == (1, "")
+    assert err == f"error: {prefix}symbolic real ({2 * 10**308}, 0) is too large for a float\n"

@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,25 @@ from addcomb import (
     clear_denominators,
     signed_form,
 )
-from helpers import BASIS_SQRT2, random_form, random_int_set
+from addcomb.images import decode, form_keys, image_order
+from helpers import (
+    BASIS_GHOST,
+    BASIS_SQRT2,
+    BASIS_SQRT23,
+    BASIS_UNIT,
+    float_order,
+    random_form,
+    random_int_set,
+    random_rational,
+)
+
+
+def _outcome(fn):
+    """(result, None), or (None, message) when fn raises ValueError."""
+    try:
+        return fn(), None
+    except ValueError as exc:
+        return None, str(exc)
 
 
 class TestFiniteSet:
@@ -52,6 +71,89 @@ class TestFiniteSet:
         other = BasisDecl(("1", "sqrt2"), (1.0, 1.41))
         with pytest.raises(ValueError):
             FiniteSet([BASIS_SQRT2.element((0, 1)), other.element((1, 0))])
+
+
+class TestRealOrder:
+    """FiniteSet and images.image_order against helpers.float_order, the
+    former sort by float plus a fresh comparison per adjacent pair."""
+
+    def test_matches_float_order_oracle(self):
+        rng = random.Random(2024)
+        seen = {"ordered": 0, "tie, integer": 0, "tie, rational": 0}
+        for i in range(240):
+            basis = (BASIS_SQRT2, BASIS_SQRT23, BASIS_GHOST)[i % 3]
+            values = [
+                basis.element([random_rational(rng, 4, 2) for _ in range(basis.dimension)])
+                for _ in range(rng.randint(1, 8))
+            ]
+            keys, scale = form_keys(random_form(rng, 2), values)
+            keys = list(dict.fromkeys(keys))
+            decoded = decode(keys, scale, basis)
+            cases = (
+                (_outcome(lambda: list(FiniteSet(values))), _outcome(lambda: float_order(values))),
+                (
+                    _outcome(lambda: image_order(keys, scale, basis)),
+                    _outcome(lambda: float_order(decoded)),
+                ),
+            )
+            for (got, got_err), (want, want_err) in cases:
+                if want_err is None:
+                    assert got_err is None
+                    if isinstance(got, tuple):  # image_order: keys and values
+                        assert decode(got[0], scale, basis) == got[1]
+                        got = got[1]
+                    assert got == want
+                    seen["ordered"] += 1
+                elif "Fraction(" in want_err:
+                    assert got_err == re.sub(r"Fraction\((-?\d+), (\d+)\)", r"\1/\2", want_err)
+                    seen["tie, rational"] += 1
+                else:
+                    assert got_err == want_err
+                    seen["tie, integer"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_dimension_one_tie_message_matches_oracle(self):
+        values = [BASIS_UNIT.element((2**53 + n,)) for n in (1, 0)]
+        with pytest.raises(ValueError) as want:
+            float_order(values)
+        with pytest.raises(ValueError) as got:
+            FiniteSet(values)
+        assert str(got.value) == str(want.value)
+        assert "(9007199254740993,) and (9007199254740992,)" in str(got.value)
+
+    def test_each_float_is_computed_once(self, monkeypatch):
+        calls = []
+        to_float = RealElement.__float__
+        monkeypatch.setattr(RealElement, "__float__", lambda x: calls.append(x) or to_float(x))
+        rng = random.Random(7)
+        values = [
+            BASIS_SQRT23.element((n, rng.randint(-2, 2), rng.randint(-2, 2))) for n in range(20)
+        ]
+        assert len(FiniteSet(values + values[::3])) == 20
+        assert len(calls) == 20
+        keys, scale = form_keys(LinearForm((1, 1, -1)), values)
+        keys = list(dict.fromkeys(keys))
+        calls.clear()
+        image_order(keys, scale, BASIS_SQRT23)
+        assert len(calls) == len(keys)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            (10**400, 0, 0),  # float() of the coordinate overflows
+            (0, 10, 0),  # a term is inf
+            (10**308, 1, 0),  # fsum overflows
+            (0, 10, -10),  # inf - inf
+        ],
+    )
+    def test_overflow_names_the_coordinates(self, coords):
+        huge = BasisDecl(("1", "big", "bigger"), (1.0, 1e308, 1e308))
+        x, zero = huge.element(coords), huge.element((0, 0, 0))
+        message = f"symbolic real {coords} is too large for a float"
+        for order in (lambda: FiniteSet([zero, x]), lambda: x < zero, lambda: 0 < x):
+            with pytest.raises(ValueError) as exc:
+                order()
+            assert str(exc.value) == message
 
 
 class TestRealElement:
