@@ -1,10 +1,10 @@
-"""Time both scans with one job and with a pool of two, to place POOL_NODES.
+"""Time both scans with one job and with a pool of two, to place POOL_WORDS.
 
     PYTHONPATH=src python3 scripts/pool_break_even.py mstd 21 22 23 24
     PYTHONPATH=src python3 scripts/pool_break_even.py triple 20 21 22 23
 
 For each diameter it runs the scan five times per job count, alternating
-which goes first, with POOL_NODES lowered so that --jobs 2 always starts a
+which goes first, with POOL_WORDS lowered so that --jobs 2 always starts a
 pool, and prints the median, min and max seconds of each. The pool pays
 for itself where its median falls below the single job's.
 """
@@ -22,7 +22,7 @@ REPEATS = 5
 def main(argv) -> None:
     scan, diameters = argv[0], [int(a) for a in argv[1:]]
     run = enumerate_mstd if scan == "mstd" else triple_form_scan
-    search.POOL_NODES = 1
+    search.POOL_WORDS = 1
     for n in diameters:
         cfg = SearchConfig(max_diameter=n)
         seconds = {1: [], 2: []}

@@ -237,12 +237,15 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
         qs, x, nearest, worst = buffer[:, : hi - lo + 1]
         _fill_consecutive(qs, lo)
         worst.fill(0.0)
-        for v in approx:
-            np.multiply(qs, v, out=x)
-            x -= np.rint(x, out=nearest)
-            np.abs(x, out=x)
-            np.maximum(worst, x, out=worst)
-        best_residual = min(best_residual, float(worst.min()))
+        # a q*a_i past the float range makes inf, then its residual nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in approx:
+                np.multiply(qs, v, out=x)
+                x -= np.rint(x, out=nearest)
+                np.abs(x, out=x)
+                np.maximum(worst, x, out=worst)
+        lowest = float(worst.min())  # nan if any residual is
+        best_residual = min(best_residual, lowest)
         q = hi
         block = min(2 * block, Q_BLOCK_MAX)
         for cand in np.flatnonzero(worst < eps_f):
@@ -267,6 +270,12 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
                 eps = eps / 2
                 q = qc
                 break
+        else:
+            if not math.isfinite(lowest):  # no finite q of this block answered
+                raise ApproximationError(
+                    f"q * a overflows a float for some q <= {hi}; "
+                    "the denominator search needs finite residuals"
+                )
     raise ApproximationError(
         f"no q <= {q_bound} reached residuals below {float(eps):.3e} "
         f"(best max-residual seen {best_residual:.3e})"

@@ -4,12 +4,14 @@ A set lives in one int: bit a set means a is an element. Sumsets and
 difference sets come from shift-or convolution, cardinalities from popcount.
 
 Both scans split the 2^n subsets containing 0 into 2^p prefix tasks of equal
-size, p = max(0, n - SUFFIX_LEVELS): task P starts from the root {0} | P,
-P a subset of {1..p}, and extends it over {p+1..n}. One array kernel,
-`_chunk`, serves both: it doubles uint64 arrays once per element and tests
-every set with a vectorised popcount, keeping 3A and 2A-A (up to 3n+1
+size: task P starts from the root {0} | P, P a subset of {1..p}, and extends
+it over {p+1..n}. A task's size is counted in uint64 words, sets times rows,
+and p is the least that keeps it within TASK_WORDS. One array kernel,
+`_chunk`, serves both scans: it doubles uint64 arrays once per element and
+tests every set with a vectorised popcount, keeping 3A and 2A-A (up to 3n+1
 bits) in two words each. `_task_hits` hands the tasks to a process pool
-when the scan is large enough to repay one; `_scan` dedups the hits.
+when the scan is large enough to repay one; `_classes` dedups the hits in
+array operations.
 
 The reflection trick: rmask keeps the elements mirrored at fixed width n,
 so when element a joins, the new differences {a - a' : a' in A} are one
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -54,23 +55,27 @@ def worker_count(jobs: int, tasks: int, cpus: int) -> int:
     """Processes worth starting: a pool starts all of its workers at once,
     so never more than there are tasks or CPUs to run them.
 
-    Below POOL_NODES a scan starts no pool. scripts/pool_break_even.py on 2
-    vCPUs, medians of 5 runs, one job vs a pool of two: MSTD at diameter 23
-    0.15-0.18 vs 0.14-0.19 s (pool faster in 2 of 4 invocations), at 24
-    0.24-0.42 vs 0.19-0.27 s (3 of 3); triple at 21 0.07-0.11 vs 0.05-0.13 s
-    (3 of 4), at 22 (4 of 4). From 2^23 nodes a pool loses neither scan."""
+    Below POOL_WORDS a scan starts no pool. scripts/pool_break_even.py on 2
+    vCPUs, medians of 5 runs, one job vs a pool of two, 5 invocations: at
+    2^24 words MSTD at diameter 22 0.025-0.041 vs 0.034-0.056 s (pool faster
+    in 1 of 5), triple at 21 0.042-0.064 vs 0.039-0.050 s (5 of 5); at 2^25
+    MSTD at 23 0.055-0.076 vs 0.050-0.087 s (3 of 5), triple at 22
+    0.095-0.119 vs 0.074-0.081 s (5 of 5); at 2^26 MSTD at 24 0.101-0.157
+    vs 0.082-0.112 s (5 of 5). From 2^25 words a pool is at worst a toss-up."""
     return min(jobs, tasks, cpus)
 
 
 #: the most nodes a scan may visit; a scan at diameter n visits 2^n
 NODE_BUDGET = 1 << 30
 
-#: the fewest nodes, 2^n at diameter n, for which a scan starts a pool
-POOL_NODES = 1 << 23
+#: uint64 words one scan task covers: its 2^(n-p) sets times the rows its
+#: scan keeps per set, 4 for "mstd" and 8 for "triple" and "equal"; `_chunk`
+#: holds half of them at once, 1 MB
+TASK_WORDS = 1 << 18
 
-#: elements a scan task chooses freely: at diameter n a task covers the
-#: 2^(n-p) extensions of one prefix P of {1..p}, p = max(0, n - SUFFIX_LEVELS)
-SUFFIX_LEVELS = 14
+#: the fewest words, 2^n sets times the scan's rows, for which a scan
+#: starts a pool
+POOL_WORDS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -175,89 +180,171 @@ def _root(n: int, prefix: int) -> tuple:
     return mask, rmask, sumb, sum3, dsh, tsh
 
 
-def _chunk(args) -> list:
-    """Worker: the hits of one prefix task as (mask, c1, c2), Python ints.
+def _add_element(arrays: np.ndarray, old: slice, new: slice, b: int, n: int) -> None:
+    """Write the sets of columns `old`, with element b added, into columns
+    `new`, which may be `old` itself: b is above every element, so the rows
+    of `new` first take b's own bits, and every update after reads `new`.
 
-    Level-wise over uint64 rows: after element b, the upper half of each row
-    holds the lower half's sets with b added. Rows: mask, mirrored mask, A+A
-    and the nonnegative half of (A-A) << n, at most 2n+1 <= 61 bits as
-    NODE_BUDGET keeps n <= 30. Scan "mstd" hits |A+A| > |A-A|; "triple" and
-    "equal" hit |3A| > or = |2A-A|, adding the negative half of A-A, and 3A
-    and (2A-A) << n in a low and a high word, exact to 3n+1 <= 91 bits. With
-    b above every element of A, A'-A' = A-A | (b-A) | (A-b), 3A' = 3A | 2A'+b
-    and 2A'-A' = 2A-A | (A'-A')+b | 2A'-b, whose term 2A'-b tops out at bit
-    n+b <= 60, in the low word. Filters apply in the hit test.
+    Rows: mask, mirrored mask (bit n-a for element a), A+A and (A-A) << n,
+    then for the triple scans 3A and (2A-A) << n in a low word (rows 4, 5)
+    and a high word (rows 6, 7). With A' = A | {b}:
+    - A'+A' = A+A | b+A', the mask shifted by b;
+    - (A'-A') << n gains (b-A') << n, the mirrored mask shifted by b, and
+      (A'-b) << n, the mask shifted by n-b;
+    - 3A' = 3A | 2A'+b and 2A'-A' = 2A-A | (A'-A')+b | 2A'-b, whose term
+      2A'-b tops out at bit n+b <= 60, in the low word.
     """
-    cfg, scan, p, prefix = args
-    n, triple = cfg.max_diameter, scan != "mstd"
-    m, r, s, s3, d, t = _root(n, prefix)
-    # "mstd" keeps the nonnegative half of A-A: bits n and up
-    root = [m, r, s, d >> n << n]
-    if triple:  # rows 4, 5: low words of 3A, (2A-A) << n; rows 6, 7: high words
-        root[3:] = [d, *(x & ((1 << 64) - 1) for x in (s3, t)), s3 >> 64, t >> 64]
-    arrays = np.empty((len(root), 1 << (n - p)), np.uint64)
-    arrays[:, 0] = root
-    mask, rmask, sums, diffs = arrays[:4]
-    for b in range(p + 1, n + 1):
-        k = 1 << (b - p - 1)
-        old, new = slice(0, k), slice(k, 2 * k)
-        # A+A gains b+A and (A-A) << n gains (b-A) << n: mask, rmask shifted by b
-        np.left_shift(arrays[:2, old], b, out=arrays[2:4, new])
-        arrays[2:4, new] |= arrays[2:4, old]
-        sums[new] |= 1 << (b + b)
-        if triple:
-            diffs[new] |= mask[old] << (n - b)
-            # 3A gains 2A'+b, and (2A-A) << n gains ((A'-A') << n)+b and 2A'-b
-            np.bitwise_or(arrays[4:6, old], arrays[2:4, new] << b, out=arrays[4:6, new])
-            np.bitwise_or(arrays[6:, old], arrays[2:4, new] >> (64 - b), out=arrays[6:, new])
-            arrays[5, new] |= sums[new] << (n - b)
-        np.bitwise_or(mask[old], 1 << b, out=mask[new])
-        np.bitwise_or(rmask[old], 1 << (n - b), out=rmask[new])
-    # the last level adds n, so the sets holding it fill the upper half
-    first = k if cfg.require_endpoints else 0
-    count = np.bitwise_count(arrays[4:, first:] if triple else arrays[2:4, first:])
-    if triple:
-        c1, c2 = count[:2] + count[2:]  # uint8: no count passes 91
-        ok = c1 == c2 if scan == "equal" else c1 > c2
-    else:
+    own = np.zeros((len(arrays), 1), np.uint64)
+    own[:2, 0] = 1 << b, 1 << (n - b)
+    np.bitwise_or(arrays[:, old], own, out=arrays[:, new])
+    mask, _, sums, diffs = arrays[:4, new]
+    arrays[2:4, new] |= arrays[:2, new] << b
+    if len(arrays) > 4:
+        diffs |= mask << (n - b)
+        arrays[4:6, new] |= arrays[2:4, new] << b
+        arrays[6:, new] |= arrays[2:4, new] >> (64 - b)
+        arrays[5, new] |= sums << (n - b)
+
+
+def _hits(arrays: np.ndarray, cfg: SearchConfig, scan: str) -> tuple:
+    """The masks, c1 and c2 of the sets in `arrays` that the scan hits:
+    "mstd" hits |A+A| > |A-A|, "triple" and "equal" |3A| > or = |2A-A|."""
+    mask = arrays[0]
+    if scan == "mstd":
+        count = np.bitwise_count(arrays[2:4])
         c1, c2 = count[0], 2 * count[1] - 1  # A-A mirrors its nonnegative half
         ok = c1 > c2
+    else:
+        count = np.bitwise_count(arrays[4:])
+        c1, c2 = count[:2] + count[2:]  # uint8: no count passes 91
+        ok = c1 == c2 if scan == "equal" else c1 > c2
     if cfg.size_filter is not None:
-        ok &= np.bitwise_count(mask[first:]) == cfg.size_filter
+        ok &= np.bitwise_count(mask) == cfg.size_filter
     hit = np.flatnonzero(ok)
-    return list(zip(mask[first:][hit].tolist(), c1[hit].tolist(), c2[hit].tolist()))
+    return mask[hit], c1[hit], c2[hit]
+
+
+def _chunk(args) -> tuple:
+    """Worker: the hits of one prefix task as three arrays, the masks
+    (uint64) and their counts c1 and c2 (uint8).
+
+    Level-wise over uint64 rows, one per quantity of `_add_element`: after
+    element b < n, the upper half of each row holds the lower half's sets
+    with b added. The rows hold at most 2n+1 <= 61 bits, as NODE_BUDGET
+    keeps n <= 30; 3A and 2A-A, up to 3n+1 <= 91 bits, take two words.
+    "mstd" keeps only the nonnegative half of A-A. The last element, n, is
+    added in place once the sets without it are tested, so the arrays hold
+    half of the task's sets. Filters apply in the hit test.
+    """
+    cfg, scan, p, prefix = args
+    n = cfg.max_diameter
+    m, r, s, s3, d, t = _root(n, prefix)
+    root = [m, r, s, d >> n << n]  # "mstd": bits n and up of (A-A) << n
+    if scan != "mstd":
+        root[3:] = [d, *(x & ((1 << 64) - 1) for x in (s3, t)), s3 >> 64, t >> 64]
+    arrays = np.empty((len(root), 1 << (n - p - 1)), np.uint64)
+    arrays[:, 0] = root
+    for b in range(p + 1, n):
+        k = 1 << (b - p - 1)
+        _add_element(arrays, slice(0, k), slice(k, 2 * k), b, n)
+    hits = [] if cfg.require_endpoints else [_hits(arrays, cfg, scan)]
+    _add_element(arrays, slice(None), slice(None), n, n)
+    hits.append(_hits(arrays, cfg, scan))
+    return tuple(np.concatenate(h) for h in zip(*hits))
 
 
 def _task_hits(cfg: SearchConfig, scan: str, jobs: int | None):
-    """The hits of `_chunk`, one list per prefix task: task P covers the sets
-    {0} | P | S, P a subset of {1..p}, p = max(0, n - SUFFIX_LEVELS), and S
-    of {p+1..n}, so the tasks are of equal size."""
+    """The hits of `_chunk`, one triple of arrays per prefix task: task P
+    covers the sets {0} | P | S, P a subset of {1..p} and S of {p+1..n}, so
+    the tasks are of equal size, 2^(n-p) sets. p = max(0, n - log2(TASK_WORDS
+    / rows)) is the least that keeps a task within TASK_WORDS words."""
     n, jobs = cfg.max_diameter, default_jobs() if jobs is None else jobs
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
-    p = max(0, n - SUFFIX_LEVELS)
+    rows = 4 if scan == "mstd" else 8  # of `_chunk`, per set
+    p = max(0, n - (TASK_WORDS // rows).bit_length() + 1)
     tasks = [(cfg, scan, p, prefix << 1) for prefix in range(1 << p)]
-    workers = worker_count(jobs, len(tasks), usable_cpus()) if 1 << n >= POOL_NODES else 1
+    workers = worker_count(jobs, len(tasks), usable_cpus()) if rows << n >= POOL_WORDS else 1
     if workers == 1:
         return map(_chunk, tasks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_chunk, tasks, chunksize=-(-len(tasks) // workers)))
 
 
-def _scan(cfg: SearchConfig, scan: str, jobs: int | None) -> list:
-    """The sorted canonical classes of the scan's hits as (class, c1, c2):
-    a set and its mirror image share one class."""
-    found: dict = {}
-    for hits in _task_hits(cfg, scan, jobs):
-        for mask, c1, c2 in hits:
-            found.setdefault(mask_of(_canonical_tuple(mask_elements(mask))), (c1, c2))
-    return [(CanonicalSet(m), *found[m]) for m in sorted(found, key=mask_elements)]
+def _top_bits(masks: np.ndarray) -> np.ndarray:
+    """The highest set bit of each nonzero mask below 2^53, where float64
+    is exact."""
+    return np.frexp(masks.astype(np.float64))[1] - 1
+
+
+#: each byte value with its 8 bits in reverse order
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
+
+
+def _reversed64(masks: np.ndarray) -> np.ndarray:
+    """Each uint64 with its 64 bits in reverse order: bit i moves to 63 - i."""
+    return _REVERSED_BYTES[masks.byteswap().view(np.uint8)].view(np.uint64)
+
+
+def _canonical_masks(masks: np.ndarray) -> np.ndarray:
+    """`_canonical_tuple` of each uint64 mask, all holding 0: divide by the
+    gcd of the bit positions, mirror by a bit reversal shifted down by the
+    top bit, and keep whichever of the set and its mirror holds the lowest
+    bit where they differ, the lexicographically smaller one."""
+    top = _top_bits(masks)
+    n = int(top.max(initial=0))
+    masks = masks.copy()
+    for g in range(n, 1, -1):
+        # from the top, so the first g to divide every element is the gcd;
+        # a divided set then has gcd 1 and only {0} is selected again
+        off = (1 << 64) - 1 - sum(1 << i for i in range(0, 64, g))
+        sel = np.flatnonzero((masks & np.uint64(off)) == 0)
+        if len(sel):
+            m = masks[sel]
+            masks[sel] = sum(((m >> (g * i)) & 1) << i for i in range(n // g + 1))
+            top[sel] //= g
+    mirror = _reversed64(masks) >> (63 - top).astype(np.uint64)
+    differ = masks ^ mirror
+    return np.where(masks & differ & ~(differ - 1), masks, mirror)
+
+
+def _spread(x: np.ndarray) -> np.ndarray:
+    """Bit i of each 32-bit x moved to bit 2i."""
+    for shift, keep in (
+        (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    ):
+        x = (x | (x << shift)) & np.uint64(keep)
+    return x
+
+
+def _lex_keys(masks: np.ndarray) -> np.ndarray:
+    """Keys whose order is the lexicographic order of the sets' sorted
+    elements, for masks below 2^32: two bits per position, position 0 the
+    most significant, reading 1 at an element, 2 at a gap below the top
+    element and 0 above it, where a set that ends sorts first."""
+    gaps = ((np.uint64(2) << _top_bits(masks).astype(np.uint64)) - 1) ^ masks
+    return _spread(_reversed64(masks) >> 32) | _spread(_reversed64(gaps) >> 32) << 1
+
+
+def _classes(task_hits) -> list:
+    """The canonical classes of the tasks' hits, sorted lexicographically,
+    as (class, c1, c2) with the counts of each class's first hit: a set and
+    its mirror image share one class."""
+    masks, c1, c2 = (np.concatenate(a) for a in zip(*task_hits))
+    canon = _canonical_masks(masks)
+    _, first = np.unique(_lex_keys(canon), return_index=True)
+    found = zip(canon[first].tolist(), c1[first].tolist(), c2[first].tolist())
+    return [(CanonicalSet(m), a, b) for m, a, b in found]
 
 
 def enumerate_mstd(cfg: SearchConfig, jobs: int | None = None) -> list[CanonicalSet]:
     """All canonical sets of diameter <= n with |A+A| > |A-A|, deduplicated
     per affine class and sorted lexicographically."""
-    return [cs for cs, _, _ in _scan(cfg, "mstd", jobs)]
+    return [cs for cs, _, _ in _classes(_task_hits(cfg, "mstd", jobs))]
 
 
 def triple_form_scan(
@@ -269,7 +356,7 @@ def triple_form_scan(
     never be emitted; that is asserted on every class. With report_equal the
     equality cases are returned instead, the root set {0} (1 = 1) among them.
     """
-    out = _scan(cfg, "equal" if report_equal else "triple", jobs)
+    out = _classes(_task_hits(cfg, "equal" if report_equal else "triple", jobs))
     if report_equal:
         return out
     for cs, c1, c2 in out:
@@ -288,8 +375,9 @@ def mstd_subset_counts(max_diameter: int) -> list[int]:
     d < N, that {0..N-1} holds N - d times: entry N is the sum of (N - d) h_d,
     h_d the number of raw hits with top bit d."""
     hits = _task_hits(SearchConfig(max_diameter), "mstd", None)
-    tally = Counter(mask.bit_length() - 1 for task in hits for mask, _, _ in task)
-    return [sum((N - d) * h for d, h in tally.items() if d < N) for N in range(max_diameter + 2)]
+    masks = np.concatenate([m for m, _, _ in hits])
+    tally = np.bincount(_top_bits(masks), minlength=max_diameter + 1).tolist()
+    return [sum((N - d) * h for d, h in enumerate(tally[:N])) for N in range(max_diameter + 2)]
 
 
 def random_symmetric_set(seed: int, n: int, k: int) -> FiniteSet:

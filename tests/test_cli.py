@@ -176,9 +176,10 @@ def test_search_mstd_golden(capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_search_triple_report_equal_golden(capsys, monkeypatch, jobs):
-    # eight tasks, and a pool at this size too, so --jobs 2 starts two workers
-    monkeypatch.setattr(search, "SUFFIX_LEVELS", 11)
-    monkeypatch.setattr(search, "POOL_NODES", 1)
+    # eight tasks of 2^11 sets, and a pool at this size too, so --jobs 2
+    # starts two workers
+    monkeypatch.setattr(search, "TASK_WORDS", 8 << 11)
+    monkeypatch.setattr(search, "POOL_WORDS", 1)
     code, out, _ = run(
         capsys, "search", "triple", "--max-diameter", "14", "--report-equal", "--jobs", jobs
     )
@@ -186,6 +187,28 @@ def test_search_triple_report_equal_golden(capsys, monkeypatch, jobs):
     assert len(out.splitlines()) == 1861
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "3ae7910a571409eb01e8d628b47307ecbd83ba28cdb5a2f2bee584fe554bcfd6"
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (
+            ("triple", "--report-equal", "--max-diameter", "17"),
+            13449,
+            "4035d7be298c19d67c1c587fb6817fbfd0ad2c6deca3f35a321481f1b612cbb0",
+        ),
+        (
+            ("mstd", "--max-diameter", "18", "--size", "9", "--require-endpoints"),
+            1,
+            "a22dca03902ebe4464b3bfd041b0387e9786b2e6b660688a4187680d29ea7b21",
+        ),
+    ],
+)
+def test_search_outputs_are_pinned(capsys, argv, lines, digest):
+    code, out, _ = run(capsys, "search", *argv)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_stats_on_stderr(capsys):
@@ -369,3 +392,25 @@ def test_image_too_large_for_a_float_is_one_line(capsys, tmp_path, argv, prefix)
     code, out, err = run(capsys, *argv, str(p))
     assert (code, out) == (1, "")
     assert err == f"error: {prefix}symbolic real ({2 * 10**308}, 0) is too large for a float\n"
+
+
+def test_dirichlet_stops_where_q_times_a_overflows(capsys, tmp_path):
+    """q * 10**308 leaves the float range at q = 2: the scan ends in its
+    first block, without a numpy warning, once q = 1 failed for sqrt2."""
+    p = tmp_path / "huge.set"
+    p.write_text(f"basis: 1=1.0, s=1.4142135623730951\n{10**308}, 0\n0, 1\n")
+    code, out, err = run(capsys, "realize", "--method", "dirichlet", "--form", "1,-1", str(p))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: q * a overflows a float for some q <= 1024; "
+        "the denominator search needs finite residuals\n"
+    )
+
+
+def test_dirichlet_answers_at_q_below_the_overflow(capsys, tmp_path):
+    """{1, 10**308} is realized at q = 1, in the block where q * a overflows."""
+    p = tmp_path / "huge.set"
+    p.write_text(f"1\n{10**308}\n")
+    code, out, err = run(capsys, "realize", "--method", "dirichlet", "--form", "1,-1", str(p))
+    assert (code, err) == (0, "")
+    assert "method=dirichlet q=1\ncertificate=OK\n" in out

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from addcomb import (
@@ -103,6 +104,41 @@ class TestNormalizeAffine:
             normalize_affine(FiniteSet([Fraction(1, 2)]))
 
 
+class TestCanonicalMasks:
+    """The array dedup of the scans against `_canonical_tuple` and the
+    lexicographic order of `mask_elements` tuples."""
+
+    @staticmethod
+    def masks() -> list:
+        rng = random.Random(31)
+        # random sets holding 0 with top bits up to 30, dense and sparse
+        out = [1 | rng.getrandbits(rng.randint(1, 31)) for _ in range(3000)]
+        out += [mask_of({0, *rng.sample(range(1, 31), rng.randint(1, 6))}) for _ in range(1000)]
+        for g in range(2, 31):  # gcd g
+            for _ in range(20):
+                els = rng.sample(range(1, 30 // g + 1), rng.randint(1, 30 // g))
+                out.append(mask_of(g * e for e in (0, *els)))
+        for seed in range(300):  # symmetric, translated to hold 0, some with gcd > 1
+            n = rng.randint(1, 30)
+            k = rng.choice([k for k in range(2, n + 2) if k % 2 == 0 or n % 2 == 0])
+            A = random_symmetric_set(seed, n, k)
+            out.append(mask_of(a - A.min() for a in A.elements))
+        return [*out, 1]
+
+    def test_agrees_with_canonical_tuple(self):
+        masks = self.masks()
+        found = search._canonical_masks(np.array(masks, np.uint64)).tolist()
+        expected = [mask_of(search._canonical_tuple(mask_elements(m))) for m in masks]
+        assert found == expected
+        assert sum(m != e for m, e in zip(masks, expected)) > 1000  # not mostly fixed points
+
+    def test_lex_keys_order_as_tuples(self):
+        masks = sorted(set(self.masks()))
+        keys = search._lex_keys(np.array(masks, np.uint64)).tolist()
+        assert [m for _, m in sorted(zip(keys, masks))] == sorted(masks, key=mask_elements)
+        assert len(set(keys)) == len(masks)
+
+
 class TestEnumerateMstd:
     def test_diameter_four_empty_by_brute_force(self):
         assert enumerate_mstd(SearchConfig(max_diameter=4)) == []
@@ -149,8 +185,10 @@ class TestEnumerateMstd:
             assert is_mstd(c.to_finite_set()).is_mstd
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
-        monkeypatch.setattr(search, "SUFFIX_LEVELS", 10)  # 8 tasks, so a pool starts
-        monkeypatch.setattr(search, "POOL_NODES", 1)
+        # tasks of 2^11 MSTD or 2^10 triple sets: 4 or 8 tasks at diameter
+        # 13, so a pool starts
+        monkeypatch.setattr(search, "TASK_WORDS", 1 << 13)
+        monkeypatch.setattr(search, "POOL_WORDS", 1)
         cfg = SearchConfig(max_diameter=13)
         single = [c.elements for c in enumerate_mstd(cfg, jobs=1)]
         double = [c.elements for c in enumerate_mstd(cfg, jobs=2)]
@@ -173,9 +211,10 @@ class TestEnumerateMstd:
 
     def test_jobs_from_environment_go_through_the_cap(self, monkeypatch, started_pools):
         started = started_pools
-        # 64 tasks at diameter 14 and 4 at diameter 10, so the cap is the CPUs
-        monkeypatch.setattr(search, "SUFFIX_LEVELS", 8)
-        monkeypatch.setattr(search, "POOL_NODES", 1)
+        # tasks of 2^6 MSTD sets or 2^5 triple sets: 256 tasks at diameter
+        # 14 and 32 at diameter 10, so the cap is the CPUs
+        monkeypatch.setattr(search, "TASK_WORDS", 1 << 8)
+        monkeypatch.setattr(search, "POOL_WORDS", 1)
         monkeypatch.setenv(search.JOBS_ENV_VAR, "100000")
         monkeypatch.setattr(search, "usable_cpus", lambda: 3)
         cfg = SearchConfig(max_diameter=14)
@@ -187,12 +226,15 @@ class TestEnumerateMstd:
 
     def test_no_pool_below_break_even(self, monkeypatch, started_pools):
         # the kernel is stubbed out: only the decision to start a pool counts
-        monkeypatch.setattr(search, "_chunk", lambda task: [])
+        monkeypatch.setattr(search, "_chunk", lambda task: (np.zeros(0, np.uint64),) * 3)
         monkeypatch.setattr(search, "usable_cpus", lambda: 2)
-        below, at = 22, search.POOL_NODES.bit_length() - 1
-        assert below < at
-        for n in (below, at):
+        # 2^n sets of 4 words (MSTD) or 8 (triple); --jobs 2 keeps the MSTD
+        # scan at diameter 22 in-process
+        at = search.POOL_WORDS.bit_length() - 1
+        assert at - 2 > 22
+        for n in (at - 3, at - 2):
             assert enumerate_mstd(SearchConfig(max_diameter=n), jobs=2) == []
+        for n in (at - 4, at - 3):
             assert triple_form_scan(SearchConfig(max_diameter=n), jobs=2) == []
         assert started_pools == [2, 2]
 
@@ -224,12 +266,18 @@ def set_counts(n: int) -> list:
     return out
 
 
+def chunk_hits(cfg, scan, p, prefix) -> list:
+    """The hits of one `_chunk` task as sorted (mask, c1, c2) ints."""
+    return sorted(zip(*(a.tolist() for a in search._chunk((cfg, scan, p, prefix)))))
+
+
 class TestPrefixTasks:
     @pytest.mark.parametrize("levels", [1, 3])
     def test_oracle_equivalence_over_many_tasks(self, monkeypatch, levels):
-        # every diameter here splits into 2^(n - levels) prefix tasks; MSTD
-        # sets first appear at diameter 14
-        monkeypatch.setattr(search, "SUFFIX_LEVELS", levels)
+        # tasks of 2^levels triple sets (8 words each) and 2^(levels + 1)
+        # MSTD sets (4 words), so every diameter here splits into many
+        # prefix tasks; MSTD sets first appear at diameter 14
+        monkeypatch.setattr(search, "TASK_WORDS", 8 << levels)
         for n in (*range(levels + 1, 13), 14):
             counts = set_counts(n)
             cfg = SearchConfig(max_diameter=n)
@@ -255,7 +303,7 @@ class TestPrefixTasks:
             s, d = sum_diff_counts(mask)
             if s > d:
                 expected.append((mask, s, d))
-        hits = sorted(search._chunk((SearchConfig(max_diameter=n), "mstd", p, prefix)))
+        hits = chunk_hits(SearchConfig(max_diameter=n), "mstd", p, prefix)
         assert hits == expected
         assert any(mask >> n for mask, _, _ in hits)
 
@@ -280,7 +328,7 @@ class TestPrefixTasks:
                 expected["triple" if t > m else "equal"].append((mask, t, m))
         cfg = SearchConfig(max_diameter=n)
         for scan, hits in expected.items():
-            assert sorted(search._chunk((cfg, scan, p, prefix))) == hits, scan
+            assert chunk_hits(cfg, scan, p, prefix) == hits, scan
         assert (mask_of((0, 1, 2, 3, 7, 19, 20, 23, 25, 26)), 78, 77) in expected["triple"]
 
 
