@@ -9,7 +9,7 @@ and runs the first --ops (default 240) of them in one process: the group
 route, the induced map, and for integer sets ``is_mstd`` and the MPTQ
 mirror. It prints, per set kind (integer, rational, symbolic) and form
 arity, the number of ops, their total seconds and the p50 / p90 of the op
-time.
+time, then one line with the number and total seconds of all ops.
 """
 
 import argparse
@@ -46,6 +46,8 @@ def main(argv) -> None:
             f"{kind:8}  h={h}  ops {len(ms):4}  total {sum(times):.3f} s  "
             f"op ms p50/p90 {deciles[4]:.3g} / {deciles[8]:.3g}"
         )
+    every = [t for times in seconds.values() for t in times]
+    print(f"{'all':8}       ops {len(every):4}  total {sum(every):.3f} s")
 
 
 if __name__ == "__main__":

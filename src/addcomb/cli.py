@@ -71,7 +71,7 @@ def _cmd_mstd(args) -> int:
 def _load_bijection(args, A: FiniteSet, B: FiniteSet) -> SetBijection:
     if args.map == "order":
         return SetBijection.by_order(A, B)
-    pairs = {}
+    perm = [None] * len(A)
     with open(args.map, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#")[0].strip()
@@ -83,10 +83,13 @@ def _load_bijection(args, A: FiniteSet, B: FiniteSet) -> SetBijection:
                 raise SetFormatError("pairing line must be two 1-based indices", lineno) from None
             if not (1 <= i <= len(A) and 1 <= j <= len(B)):
                 raise SetFormatError(f"index pair {i} {j} out of range", lineno)
-            if A.elements[i - 1] in pairs:
+            if perm[i - 1] is not None:
                 raise SetFormatError(f"index {i} of the first set is paired twice", lineno)
-            pairs[A.elements[i - 1]] = B.elements[j - 1]
-    return SetBijection.from_pairs(A, B, pairs.items())
+            perm[i - 1] = j - 1
+    for a, j in zip(A, perm):
+        if j is None:
+            raise ValueError(f"{a} has no image in the pairing")
+    return SetBijection(A, B, tuple(perm))
 
 
 def _cmd_iso_check(args) -> int:
@@ -164,7 +167,8 @@ def _cmd_search(args) -> int:
             print(f"{cs}\t{c1}\t{c2}")
     if args.stats:
         dt = time.perf_counter() - t0
-        examined = 1 << cfg.max_diameter
+        # with --require-endpoints the kernel tests only the sets holding n
+        examined = 1 << (cfg.max_diameter - cfg.require_endpoints)
         print(f"examined={examined} wall={dt:.3f}s", file=sys.stderr)
     return 0
 

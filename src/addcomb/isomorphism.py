@@ -2,10 +2,12 @@
 
 A bijection f preserves a form when two tuples share a form value on the
 domain side exactly when their images share a value on the codomain side.
-The check groups index tuples by exact value on each side and compares the
-two partitions, which is O(k^h) groupings instead of all k^{2h} pairs.
-Values are the exact integer keys of ``images.form_keys``, which coincide
-exactly where values do; ``images`` also decodes and orders them.
+Each side's values partition the k^h index tuples; the partitions are equal
+exactly when there are as many distinct (domain value, codomain value)
+pairs as distinct values on either side, which takes O(k^h) hashing instead
+of comparing all k^{2h} pairs of tuples. Values are the exact integer keys of
+``images.form_keys``, which coincide exactly where values do; ``images``
+also decodes and orders them.
 """
 
 from __future__ import annotations
@@ -63,14 +65,6 @@ class SetBijection:
             perm.append(index[y])
         return cls(A, B, tuple(perm))
 
-    @classmethod
-    def from_pairs(cls, A: FiniteSet, B: FiniteSet, pairs) -> "SetBijection":
-        mapping = dict(pairs)
-        for a in A:
-            if a not in mapping:
-                raise ValueError(f"{a} has no image in the pairing")
-        return cls.from_function(A, B, mapping.__getitem__)
-
     def __call__(self, a) -> Scalar:
         i = self.domain.elements.index(a)
         return self.codomain.elements[self.perm[i]]
@@ -113,41 +107,42 @@ def _unrank(pos: int, k: int, h: int) -> tuple:
     return tuple(out)
 
 
-def _coincidences(form: LinearForm, f: SetBijection):
-    """The one walk over both sides' keys, in tuple order.
+def _first_disagreement(akeys, bkeys, k: int, h: int) -> tuple:
+    """The witness (u, v) of a failed check: v is the earliest tuple whose
+    key pair disagrees with u, the first tuple that shares v's domain key
+    (checked first) or v's codomain key."""
+    first_a: dict = {}
+    first_b: dict = {}
+    for v, (a, b) in enumerate(zip(akeys, bkeys)):
+        u = first_a.setdefault(a, v)
+        if bkeys[u] != b:
+            return _unrank(u, k, h), _unrank(v, k, h)
+        u = first_b.setdefault(b, v)
+        if akeys[u] != a:
+            return _unrank(u, k, h), _unrank(v, k, h)
 
-    Each side maps a key to (the other side's key, its first position); a
-    later position that disagrees is the first failure in that direction.
-    Returns the verdict, the domain-side map, the two key tables and the
-    two scales that decode needs.
+
+def _coincidences(form: LinearForm, f: SetBijection):
+    """Compare both sides' key partitions through the set of key pairs.
+
+    f is a homomorphism exactly when each domain key meets one codomain key,
+    that is when the pairs are as many as the distinct domain keys, and an
+    isomorphism when they are also as many as the distinct codomain keys.
+    Only a failure walks the tuples, to find its witness. Returns the
+    verdict, the map from domain key to codomain key, the two key tables
+    and the two scales that decode needs.
     """
-    k = len(f.domain)
-    h = form.arity
     akeys, sa = form_keys(form, f.domain.elements)
     bkeys, sb = form_keys(form, f.mapped_elements())
-    forward: dict = {}
-    backward: dict = {}
-    homo_fail = inv_fail = None
-    for pos, (va, vb) in enumerate(zip(akeys, bkeys)):
-        seen = forward.get(va)
-        if seen is None:
-            forward[va] = (vb, pos)
-        elif homo_fail is None and seen[0] != vb:
-            homo_fail = (seen[1], pos)
-        seen = backward.get(vb)
-        if seen is None:
-            backward[vb] = (va, pos)
-        elif inv_fail is None and seen[0] != va:
-            inv_fail = (seen[1], pos)
-        if homo_fail is not None and inv_fail is not None:
-            break
-    fails = [t for t in (homo_fail, inv_fail) if t is not None]
+    pairs = set(zip(akeys, bkeys))
+    # keys in first-seen order, as in form_image, so both name a float tie alike
+    forward = dict(zip(akeys, bkeys))
+    homomorphism = len(forward) == len(pairs)
+    isomorphism = homomorphism and len(set(bkeys)) == len(pairs)
     witness = None
-    if fails:
-        u, v = min(fails, key=lambda t: t[1])
-        witness = (_unrank(u, k, h), _unrank(v, k, h))
-    verdict = IsoVerdict(homo_fail is None, not fails, witness)
-    return verdict, forward, akeys, bkeys, (sa, sb)
+    if not isomorphism:
+        witness = _first_disagreement(akeys, bkeys, len(f.domain), form.arity)
+    return IsoVerdict(homomorphism, isomorphism, witness), forward, akeys, bkeys, (sa, sb)
 
 
 def is_phi_isomorphism(form: LinearForm, f: SetBijection) -> IsoVerdict:
@@ -188,7 +183,7 @@ def induced_bijection(form: LinearForm, f: SetBijection) -> InducedMap:
     if not verdict.is_isomorphism:
         raise ValueError(f"bijection is not an isomorphism (witness {verdict.witness})")
     xkeys, xs = image_order(forward, sa, f.domain.basis)
-    ykeys = [forward[key][0] for key in xkeys]
+    ykeys = [forward[key] for key in xkeys]
     ys = decode(ykeys, sb, f.codomain.basis)
     ma, mb = Counter(akeys), Counter(bkeys)
     pairs = []

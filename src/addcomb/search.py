@@ -4,8 +4,9 @@ A set lives in one int: bit a set means a is an element. Sumsets and
 difference sets come from shift-or convolution, cardinalities from popcount.
 
 Both scans split the 2^n subsets containing 0 into 2^p prefix tasks of equal
-size: task P starts from the root {0} | P, P a subset of {1..p}, and extends
-it over {p+1..n}. A task's size is counted in uint64 words, sets times rows,
+size: task P starts from the root {0} | P, P a subset of {1..p}, built from
+{0} by the kernel's own level update one element at a time, and extends it
+over {p+1..n}. A task's size is counted in uint64 words, sets times rows,
 and p is the least that keeps it within TASK_WORDS. One array kernel,
 `_chunk`, serves both scans: it doubles uint64 arrays once per element and
 tests every set with a vectorised popcount, keeping 3A and 2A-A (up to 3n+1
@@ -165,21 +166,6 @@ def normalize_affine(A: FiniteSet) -> CanonicalSet:
     return CanonicalSet(mask_of(_canonical_tuple(A.elements)))
 
 
-def _root(n: int, prefix: int) -> tuple:
-    """The task root {0} | P, P given by the mask `prefix`, as (mask, rmask,
-    A+A, 3A, A-A << n, 2A-A << n), folded in one element at a time by the
-    same updates as the kernel's levels."""
-    mask, rmask, sumb, sum3, dsh, tsh = 1, 1 << n, 1, 1, 1 << n, 1 << n
-    for a in mask_elements(prefix):
-        sumb |= (mask << a) | (1 << (a + a))
-        sum3 |= sumb << a
-        dsh |= (rmask << a) | ((mask << n) >> a)
-        tsh |= (dsh << a) | ((sumb << n) >> a)
-        mask |= 1 << a
-        rmask |= 1 << (n - a)
-    return mask, rmask, sumb, sum3, dsh, tsh
-
-
 def _add_element(arrays: np.ndarray, old: slice, new: slice, b: int, n: int) -> None:
     """Write the sets of columns `old`, with element b added, into columns
     `new`, which may be `old` itself: b is above every element, so the rows
@@ -228,9 +214,10 @@ def _chunk(args) -> tuple:
     """Worker: the hits of one prefix task as three arrays, the masks
     (uint64) and their counts c1 and c2 (uint8).
 
-    Level-wise over uint64 rows, one per quantity of `_add_element`: after
-    element b < n, the upper half of each row holds the lower half's sets
-    with b added. The rows hold at most 2n+1 <= 61 bits, as NODE_BUDGET
+    Level-wise over uint64 rows, one per quantity of `_add_element`: column
+    0 takes the root, {0} with the prefix's elements added in place, and
+    after element b < n, the upper half of each row holds the lower half's
+    sets with b added. The rows hold at most 2n+1 <= 61 bits, as NODE_BUDGET
     keeps n <= 30; 3A and 2A-A, up to 3n+1 <= 91 bits, take two words.
     "mstd" keeps only the nonnegative half of A-A. The last element, n, is
     added in place once the sets without it are tested, so the arrays hold
@@ -238,12 +225,11 @@ def _chunk(args) -> tuple:
     """
     cfg, scan, p, prefix = args
     n = cfg.max_diameter
-    m, r, s, s3, d, t = _root(n, prefix)
-    root = [m, r, s, d >> n << n]  # "mstd": bits n and up of (A-A) << n
-    if scan != "mstd":
-        root[3:] = [d, *(x & ((1 << 64) - 1) for x in (s3, t)), s3 >> 64, t >> 64]
+    root = (1, 1 << n, 1, 1 << n, 1, 1 << n, 0, 0)[: 4 if scan == "mstd" else 8]  # the set {0}
     arrays = np.empty((len(root), 1 << (n - p - 1)), np.uint64)
     arrays[:, 0] = root
+    for b in mask_elements(prefix):
+        _add_element(arrays, slice(0, 1), slice(0, 1), b, n)
     for b in range(p + 1, n):
         k = 1 << (b - p - 1)
         _add_element(arrays, slice(0, k), slice(k, 2 * k), b, n)

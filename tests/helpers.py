@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's evaluation paths: they
 loop over ordered tuples directly with itertools.product, so agreement with
-the package is meaningful evidence.
+the package is meaningful evidence. ``key_walk`` alone reads the package's
+integer keys, because it checks how they are compared, not how they are made.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from addcomb import (
     LinearForm,
     realize,
 )
+from addcomb.images import form_keys
 
 SQRT2 = 1.4142135623730951
 SQRT3 = 1.7320508075688772
@@ -61,16 +63,11 @@ def naive_values(coeffs, elements) -> list:
     ]
 
 
-def value_walk(form: LinearForm, f):
-    """The coincidence walk keyed by the exact values themselves.
-
-    Returns the verdict, the map value -> (image value, first position) and
-    both value tables: the reference for the integer-keyed walk in
-    ``addcomb.isomorphism``, which must give the same verdict and witness.
-    """
-    k, h = len(f.domain), form.arity
-    avals = naive_values(form.coeffs, f.domain.elements)
-    bvals = naive_values(form.coeffs, f.mapped_elements())
+def _walk(avals, bvals, k: int, h: int):
+    """One pass over both sides' values in tuple order. Each side maps a
+    value to (the other side's value, its first position); a later position
+    that disagrees is the first failure in that direction. Returns the
+    verdict and the domain side's map."""
     forward: dict = {}
     backward: dict = {}
     homo_fail = inv_fail = None
@@ -93,7 +90,32 @@ def value_walk(form: LinearForm, f):
         u, v = min(fails, key=lambda t: t[1])
         tuples = list(itertools.product(range(k), repeat=h))
         witness = (tuples[u], tuples[v])
-    return IsoVerdict(homo_fail is None, not fails, witness), forward, avals, bvals
+    return IsoVerdict(homo_fail is None, not fails, witness), forward
+
+
+def value_walk(form: LinearForm, f):
+    """The coincidence walk keyed by the exact values themselves.
+
+    Returns the verdict, the map value -> (image value, first position) and
+    both value tables: the reference for the integer-keyed comparison in
+    ``addcomb.isomorphism``, which must give the same verdict and witness.
+    """
+    avals = naive_values(form.coeffs, f.domain.elements)
+    bvals = naive_values(form.coeffs, f.mapped_elements())
+    return *_walk(avals, bvals, len(f.domain), form.arity), avals, bvals
+
+
+def key_walk(form: LinearForm, f):
+    """The coincidence walk over the integer keys of ``images.form_keys``.
+
+    Returns the verdict, the map key -> (image key, first position) and both
+    scales: the reference for the set-of-pairs comparison in
+    ``addcomb.isomorphism``, which must give the same verdict, witness and
+    map.
+    """
+    akeys, sa = form_keys(form, f.domain.elements)
+    bkeys, sb = form_keys(form, f.mapped_elements())
+    return *_walk(akeys, bkeys, len(f.domain), form.arity), (sa, sb)
 
 
 def value_induced_bijection(form: LinearForm, f) -> InducedMap:

@@ -122,6 +122,18 @@ def test_iso_check_pairing_repeated_index_exit_code(capsys, tmp_path):
     assert err.startswith("error: line 2:") and err.count("\n") == 1
 
 
+def test_iso_check_pairing_two_indices_onto_one_exit_code(capsys, tmp_path):
+    a = tmp_path / "a.set"
+    a.write_text("0\n1\n3\n")
+    pairing = tmp_path / "map.txt"
+    pairing.write_text("1 1\n2 1\n3 2\n")
+    argv = ("iso-check", "--form", "1,1", "--map", str(pairing), str(a), str(a))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_classify8(capsys, m8, refl):
     code, out, _ = run(capsys, "classify8", m8)
     assert (code, out) == (0, "lambda=1 mu=0 matched=canonical\n")
@@ -216,6 +228,14 @@ def test_search_stats_on_stderr(capsys):
     assert code == 0
     assert out == ""
     assert "examined=256" in err and "wall=" in err
+
+
+def test_search_stats_count_only_sets_with_both_endpoints(capsys):
+    argv = ("search", "mstd", "--max-diameter", "8", "--require-endpoints", "--stats")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == ""
+    assert "examined=128 " in err
 
 
 def test_search_triple(capsys):

@@ -30,6 +30,7 @@ from addcomb import images, isomorphism
 from addcomb.model import value_table
 import helpers
 from helpers import (
+    BASIS_GHOST,
     BASIS_SQRT2,
     BASIS_SQRT23,
     BASIS_UNIT,
@@ -362,6 +363,59 @@ class TestIntegerKeysAgainstValueWalk:
             assert_same_induced(form, f)
             monkeypatch.undo()
         assert checked >= 20
+
+
+def comparison_case(rng: random.Random, kind: str):
+    """A form of arity 1-3 and a bijection out of a set of 1-9 elements of
+    the given kind: onto an affine image (an isomorphism), onto a
+    progression by order (a homomorphism, often no more), or shuffled."""
+    coeffs = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+              for _ in range(rng.randint(1, 3))]
+    form = LinearForm(tuple(coeffs))
+    A = random_set(rng, kind, 9)
+    if rng.random() < 0.15:
+        lam = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        mu = random_rational(rng)
+        f = SetBijection.from_function(A, affine_image(A, lam, mu), lambda x: lam * x + mu)
+    else:
+        f = SetBijection.by_order(A, FiniteSet(Fraction(i, 2) for i in range(len(A))))
+    if rng.random() < 0.5:
+        perm = list(f.perm)
+        rng.shuffle(perm)
+        f = SetBijection(f.domain, f.codomain, tuple(perm))
+    return form, f
+
+
+def test_pair_set_comparison_matches_the_key_walk():
+    """Verdict, witness, the forward map in first-seen order and the induced
+    pairs, over rational sets and symbolic ones over {1, sqrt2, sqrt3}."""
+    rng = random.Random(47)
+    failing = isos = 0
+    for i in range(2400):
+        form, f = comparison_case(rng, ("rational", "symbolic-3")[i % 2])
+        want, walk_forward, (sa, sb) = helpers.key_walk(form, f)
+        verdict, forward = isomorphism._coincidences(form, f)[:2]
+        assert verdict == want
+        if not verdict.is_isomorphism:
+            failing += 1
+            continue
+        isos += 1
+        assert list(forward.items()) == [(a, b) for a, (b, _) in walk_forward.items()]
+        xkeys, xs = images.image_order(walk_forward, sa, f.domain.basis)
+        ys = images.decode([walk_forward[x][0] for x in xkeys], sb, f.codomain.basis)
+        assert [(x, y) for x, y, _ in induced_bijection(form, f).pairs] == list(zip(xs, ys))
+    assert failing >= 800 and isos >= 400
+
+
+def test_induced_map_names_a_float_tie_as_form_image_does():
+    """A = {0, g, 2} with g declared as 1.0: the sums 2 and 2g tie."""
+    A = FiniteSet(BASIS_GHOST.element(c) for c in ((0, 0), (0, 1), (2, 0)))
+    with pytest.raises(ValueError) as from_image:
+        form_image(SUM_FORM, A)
+    with pytest.raises(ValueError) as from_induced:
+        induced_bijection(SUM_FORM, SetBijection.by_order(A, A))
+    assert str(from_induced.value) == str(from_image.value)
+    assert "(2, 0) and (0, 2)" in str(from_image.value)
 
 
 def certify_inputs(rng: random.Random):
