@@ -41,7 +41,8 @@ def main(argv) -> None:
     print(f"seeds {args.seeds}, {args.ops} ops each")
     for (kind, h), times in sorted(seconds.items()):
         ms = [1e3 * t for t in times]
-        deciles = statistics.quantiles(ms, n=10, method="inclusive")
+        # a lone op is its own p50 and p90; quantiles needs two
+        deciles = statistics.quantiles(ms, n=10, method="inclusive") if len(ms) > 1 else ms * 9
         print(
             f"{kind:8}  h={h}  ops {len(ms):4}  total {sum(times):.3f} s  "
             f"op ms p50/p90 {deciles[4]:.3g} / {deciles[8]:.3g}"

@@ -72,6 +72,7 @@ def _load_bijection(args, A: FiniteSet, B: FiniteSet) -> SetBijection:
     if args.map == "order":
         return SetBijection.by_order(A, B)
     perm = [None] * len(A)
+    seen = set()
     with open(args.map, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#")[0].strip()
@@ -85,6 +86,9 @@ def _load_bijection(args, A: FiniteSet, B: FiniteSet) -> SetBijection:
                 raise SetFormatError(f"index pair {i} {j} out of range", lineno)
             if perm[i - 1] is not None:
                 raise SetFormatError(f"index {i} of the first set is paired twice", lineno)
+            if j in seen:
+                raise SetFormatError(f"index {j} of the second set is paired twice", lineno)
+            seen.add(j)
             perm[i - 1] = j - 1
     for a, j in zip(A, perm):
         if j is None:

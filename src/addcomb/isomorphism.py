@@ -8,6 +8,14 @@ pairs as distinct values on either side, which takes O(k^h) hashing instead
 of comparing all k^{2h} pairs of tuples. Values are the exact integer keys of
 ``images.form_keys``, which coincide exactly where values do; ``images``
 also decodes and orders them.
+
+The 8-element MSTD sets are classified by normalization, not by a search
+over pairings. The canonical set lies on 13 hyperplanes x_i + x_j = x_l + x_m
+whose rows have rank 6 over Q, so the solutions in R^8 are spanned by
+(1, ..., 1) and the set itself: every Freiman image of it, under any
+pairing, is an affine image. Once its two smallest elements sit at 0 and 2,
+such an image is the canonical set or its mirror, and the only pairings
+left are the identity and the reversal.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ from .model import (
 #: the unique 8-element integer set, up to affine maps, with more sums than
 #: differences at diameter 14; the reference domain for the classification
 CANONICAL_MSTD8 = FiniteSet((0, 2, 3, 4, 7, 11, 12, 14))
+#: its mirror 14 - x, the other normalized form of an 8-element MSTD set
+_MIRROR_MSTD8 = FiniteSet(14 - x for x in CANONICAL_MSTD8)
 
 
 @dataclass(frozen=True)
@@ -265,64 +275,16 @@ def anchor_normalize(A: FiniteSet) -> FiniteSet:
     return B
 
 
-def _freiman_bijection_search(domain: FiniteSet, codomain: FiniteSet):
-    """Backtracking search for the lexicographically least permutation that
-    is a Freiman isomorphism. Prunes on pairwise-sum partition mismatches as
-    images are assigned, so the 8! worst case never materializes."""
-    a = domain.elements
-    b = codomain.elements
-    k = len(a)
-    perm: list = []
-    used = [False] * k
-    fwd: dict = {}
-    bwd: dict = {}
-
-    def extend() -> bool:
-        m = len(perm)
-        if m == k:
-            return True
-        for p in range(k):
-            if used[p]:
-                continue
-            added = []
-            ok = True
-            for i in range(m + 1):
-                q = perm[i] if i < m else p
-                ka = a[i] + a[m]
-                kb = b[q] + b[p]
-                va = fwd.get(ka)
-                vb = bwd.get(kb)
-                if va is None and vb is None:
-                    fwd[ka] = kb
-                    bwd[kb] = ka
-                    added.append((ka, kb))
-                elif va != kb or vb != ka:
-                    ok = False
-                    break
-            if ok:
-                used[p] = True
-                perm.append(p)
-                if extend():
-                    return True
-                perm.pop()
-                used[p] = False
-            for ka, kb in added:
-                del fwd[ka]
-                del bwd[kb]
-        return False
-
-    if extend():
-        return tuple(perm)
-    return None
-
-
 def classify_mstd8(A: FiniteSet, f: SetBijection | None = None) -> AffineClassification:
     """Normalize an 8-element MSTD set onto {0, 2, ...} scale and classify it.
 
     The normalized set must be the canonical one or its reflection; the
     returned classification is (1, 0) for the former and (-1, 14) for the
-    latter. A supplied bijection from the canonical set is verified instead
-    of searched for.
+    latter. By the rank-6 rigidity in the module docstring these are the
+    only normalized sets a Freiman isomorphism from the canonical set can
+    reach, so comparing with the two is the whole search: the pairing is the
+    identity or the reversal, and affine_reconstruct certifies it. A supplied
+    bijection from the canonical set is certified in its place.
     """
     if len(A) != 8:
         raise ValueError("classification applies to sets of exactly 8 elements")
@@ -331,12 +293,14 @@ def classify_mstd8(A: FiniteSet, f: SetBijection | None = None) -> AffineClassif
         raise ValueError(f"set is not MSTD (sums {verdict.sum_count}, diffs {verdict.diff_count})")
     B = anchor_normalize(A)
     if f is None:
-        perm = _freiman_bijection_search(CANONICAL_MSTD8, B)
-        if perm is None:
+        if B == CANONICAL_MSTD8:
+            f = SetBijection.by_order(CANONICAL_MSTD8, B)
+        elif B == _MIRROR_MSTD8:
+            f = SetBijection(CANONICAL_MSTD8, B, tuple(range(7, -1, -1)))
+        else:
             raise CertificateError(
                 "no Freiman isomorphism from the canonical set; input arithmetic is inconsistent"
             )
-        f = SetBijection(CANONICAL_MSTD8, B, perm)
     else:
         if f.domain != CANONICAL_MSTD8 or f.codomain != B:
             raise ValueError("supplied bijection must map the canonical set onto the normalized one")

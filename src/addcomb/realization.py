@@ -353,20 +353,14 @@ def _check_class_structure(classes, raw) -> None:
         prev = val
 
 
-def realize_auto(A: FiniteSet, form: LinearForm) -> RealizationResult:
-    """The group route, falling back to the denominator search if its
-    certificate fails (possible only under an inconsistent basis)."""
-    try:
-        return realize_group(A, form)
-    except CertificateError:
-        return realize_dirichlet(A, form)
-
-
+#: ``auto`` is the group route. Its certificate compares exact coordinate
+#: keys with their base-lambda encoding, which the lambda bound makes
+#: injective on form values, so it does not fail and needs no fallback
 METHODS = {
     "group": realize_group,
     "dirichlet": realize_dirichlet,
     "lp": realize_lp,
-    "auto": realize_auto,
+    "auto": realize_group,
 }
 
 

@@ -228,6 +228,43 @@ def realization_suite() -> list[FiniteSet]:
     return sets
 
 
+def sum_coincidence_rows(elements) -> list:
+    """One row e_i + e_j - e_l - e_m per hyperplane x_i + x_j = x_l + x_m
+    (i <= j, l <= m, {i, j} != {l, m}) that the elements lie on, each
+    hyperplane once."""
+    by_sum: dict = {}
+    for i, j in itertools.combinations_with_replacement(range(len(elements)), 2):
+        by_sum.setdefault(elements[i] + elements[j], []).append((i, j))
+    rows = []
+    for pairs in by_sum.values():
+        for (i, j), (l, m) in itertools.combinations(pairs, 2):
+            row = [0] * len(elements)
+            row[i] += 1
+            row[j] += 1
+            row[l] -= 1
+            row[m] -= 1
+            rows.append(row)
+    return rows
+
+
+def rational_rank(rows) -> int:
+    """The rank over Q, by Gaussian elimination in exact Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / top[col]
+            if factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
 def _normalise(row) -> tuple:
     g = math.gcd(*row)
     return tuple(x // g for x in row) if g > 1 else tuple(row)

@@ -131,7 +131,7 @@ def test_iso_check_pairing_two_indices_onto_one_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err == "error: line 2: index 1 of the second set is paired twice\n"
 
 
 def test_classify8(capsys, m8, refl):

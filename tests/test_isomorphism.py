@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -526,7 +527,91 @@ class TestAffineReconstruct:
             affine_reconstruct(scrambled)
 
 
+def classify_inputs(rng: random.Random, n: int):
+    """n 8-element inputs for classify_mstd8, cycling through rational and
+    sqrt2-symbolic affine images x -> lam*x + mu of the canonical set, with
+    lam of both signs, and the same images with one element moved. A moved
+    element stays on the set's affine line, except that every other symbolic
+    one is pushed off it by sqrt2."""
+    rt2 = BASIS_SQRT2.unit("sqrt2")
+    for i in range(n):
+        sign = 1 if i % 2 else -1
+        symbolic = i // 2 % 2 == 1
+        moved = i // 4 % 2 == 1
+        lam = Fraction(rng.randint(1, 12), rng.randint(1, 5))
+        mu = random_rational(rng)
+        if symbolic:
+            lam = BASIS_SQRT2.element((lam, rng.randint(0, 3)))
+            mu = BASIS_SQRT2.element((mu, rng.randint(-3, 3)))
+        lam = sign * lam
+        els = [lam * x + mu for x in CANONICAL_MSTD8]
+        if moved:
+            j = rng.randrange(8)
+            els[j] = lam * random_rational(rng, num=16) + mu
+            if symbolic and i // 8 % 2:
+                els[j] = els[j] + rt2
+        yield FiniteSet(els)
+
+
+def classify_outcome(A: FiniteSet) -> str:
+    """classify_mstd8's (lam, mu), or its exception's type and message."""
+    try:
+        r = classify_mstd8(A)
+    except (ValueError, CertificateError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{r.lam} {r.mu} {r.matches}"
+
+
+#: sha256 over the outcomes of classify_inputs(random.Random(20261019), 96),
+#: one line each, as the backtracking pairing search gave them
+CLASSIFY_SHA256 = "c252735c74674e3255b6cdebd10c3c4b486d6b06157f3948a654e3c2065c409e"
+
+
+class TestCanonicalRigidity:
+    """The canonical set's sum coincidences leave only affine images."""
+
+    def test_sum_coincidence_rows_have_rank_six(self):
+        rows = helpers.sum_coincidence_rows(CANONICAL_MSTD8.elements)
+        assert len(rows) == 13
+        assert helpers.rational_rank(rows) == 6
+        # rank 6 on 8 columns: these two independent solutions span them all
+        for solution in ((1,) * 8, CANONICAL_MSTD8.elements):
+            assert all(sum(r * x for r, x in zip(row, solution)) == 0 for row in rows)
+
+    def test_rank_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(7)
+        matrices = [helpers.sum_coincidence_rows(CANONICAL_MSTD8.elements)]
+        for _ in range(30):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            matrices.append([[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)])
+        for rows in matrices:
+            assert helpers.rational_rank(rows) == sympy.Matrix(rows).rank()
+
+
 class TestClassifyMstd8:
+    def test_seeded_outcomes_are_pinned(self):
+        outcomes = [classify_outcome(A) for A in classify_inputs(random.Random(20261019), 96)]
+        kinds = Counter(o.split(" (")[0] for o in outcomes)
+        assert kinds == {
+            "1 0 True": 24,
+            "-1 14 True": 24,
+            "ValueError: set is not MSTD": 40,
+            "ValueError: classification applies to sets of exactly 8 elements": 8,
+        }
+        digest = hashlib.sha256("".join(o + "\n" for o in outcomes).encode()).hexdigest()
+        assert digest == CLASSIFY_SHA256
+
+    def test_no_isomorphism_message(self, monkeypatch):
+        # only a wrong MSTD verdict reaches this branch: an 8-element MSTD
+        # set normalizes to the canonical set or its mirror
+        monkeypatch.setattr(isomorphism, "is_mstd", lambda A: is_mstd(CANONICAL_MSTD8))
+        with pytest.raises(
+            CertificateError,
+            match=r"^no Freiman isomorphism from the canonical set; input arithmetic is inconsistent$",
+        ):
+            classify_mstd8(FiniteSet(range(8)))
+
     def test_canonical_itself(self):
         r = classify_mstd8(CANONICAL_MSTD8)
         assert (r.lam, r.mu) == (1, 0)

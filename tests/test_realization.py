@@ -29,7 +29,15 @@ from addcomb import (
     realize_lp,
     translate_positive,
 )
-from helpers import BASIS_SQRT2, first_close_denominator, realization_suite, suite_results
+from helpers import (
+    BASIS_SQRT2,
+    SET_KINDS,
+    first_close_denominator,
+    random_form,
+    random_set,
+    realization_suite,
+    suite_results,
+)
 
 LP_SUITE_SHA256 = "b9cbed9ea2e63c1b91840f2a0eeb2ce8cb8117f446b25e53ad624dd7bab7a3ec"
 DIRICHLET_SUITE_SHA256 = "06f8e99b98c055def23e10ce4ca0c24328bb6de29e6745c525b108449d552679"
@@ -307,3 +315,13 @@ def test_dirichlet_route_is_pinned():
     # digest taken with fixed 2^18 blocks: any block schedule scans q in
     # increasing order, so it must find the same q
     assert _route_digest("dirichlet") == DIRICHLET_SUITE_SHA256
+
+
+def test_auto_is_the_group_route():
+    rng = random.Random(20261019)
+    for i in range(60):
+        A = random_set(rng, SET_KINDS[i % len(SET_KINDS)], 8)
+        form = random_form(rng)
+        auto, group = realize(A, form, "auto"), realize(A, form, "group")
+        assert (auto.B, auto.method, auto.mapping) == (group.B, group.method, group.mapping)
+        assert auto.params == group.params

@@ -1,0 +1,56 @@
+"""Every timing script in ``scripts/`` runs to the end on its smallest input.
+
+The scripts are loaded by path and their ``main`` is called in-process, so
+a crash in the reporting (say, a quantile of a one-op group) fails here
+rather than on the next manual run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from addcomb import search
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name, argv, heads",
+    [
+        ("scan_times", ["8"], ["diameter 8 mstd", "diameter 8 triple", "diameter 8 equal"]),
+        ("route_times", ["--suites", "1", "1"], ["seeds [1], 1 suites each", "dirichlet", "lp", "dirichlet  q"]),
+        ("pool_break_even", ["mstd", "8"], ["mstd diameter 8"]),
+    ],
+)
+def test_script_main_runs(name, argv, heads, monkeypatch, capsys):
+    # the scripts may put the repository root on sys.path, and
+    # pool_break_even lowers search.POOL_WORDS for the whole process
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(search, "POOL_WORDS", search.POOL_WORDS)
+    load_script(name).main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    for head in heads:
+        assert any(line.startswith(head) for line in lines), (head, lines)
+
+
+def test_certify_times_reports_a_one_op_group(monkeypatch, capsys):
+    """Below 24 ops each arity-3 group holds a single op, whose time is
+    both its p50 and its p90."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    load_script("certify_times").main(["--ops", "12", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    lone = [line for line in lines if "h=3" in line and "ops    1" in line]
+    assert lone, lines
+    for line in lone:
+        p50, p90 = line.split("p50/p90")[1].split("/")
+        assert p50.strip() == p90.strip()
+    assert lines[-1].startswith("all") and "ops   12" in lines[-1]
