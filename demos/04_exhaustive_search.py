@@ -28,10 +28,19 @@ print("normalize {0,4,8}:             ", normalize_affine(FiniteSet([0, 4, 8])))
 
 # A second scanner compares the three-variable forms t1+t2+t3 and
 # t1+t2-t3: the first image is almost always the smaller one, and no set
-# below diameter 12 beats it.
-for n in (6, 8, 10, 12):
+# below diameter 26 beats it. At 26 the first three classes appear, of
+# sizes 10 and 11; size 9 first appears at diameter 28. So the least set
+# of reals with |3A| > |2A-A| has at most 9 elements, though no
+# diameter-bounded scan can show that 9 is least.
+for n in (6, 12, 18):
     found = triple_form_scan(SearchConfig(max_diameter=n))
     print(f"diameter <= {n}: {len(found)} sets with |A+A+A| > |A+A-A|")
+t0 = time.perf_counter()
+found = triple_form_scan(SearchConfig(max_diameter=26))
+dt = time.perf_counter() - t0
+print(f"diameter <= 26: {len(found)} sets with |A+A+A| > |A+A-A|, scanned 2^26 subsets in {dt:.1f} s")
+for c, triple, mixed in found:
+    print(f"  {c}  |A+A+A| = {triple} > {mixed} = |A+A-A|")
 
 # Equality cases are common though; arithmetic progressions all land there.
 equal = triple_form_scan(SearchConfig(max_diameter=5), report_equal=True)

@@ -9,6 +9,7 @@ pool, and prints the median, min and max seconds of each. The pool pays
 for itself where its median falls below the single job's.
 """
 
+import argparse
 import statistics
 import sys
 import time
@@ -20,10 +21,13 @@ REPEATS = 5
 
 
 def main(argv) -> None:
-    scan, diameters = argv[0], [int(a) for a in argv[1:]]
-    run = enumerate_mstd if scan == "mstd" else triple_form_scan
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("scan", choices=("mstd", "triple"))
+    ap.add_argument("diameters", type=int, nargs="+")
+    args = ap.parse_args(argv)
+    run = enumerate_mstd if args.scan == "mstd" else triple_form_scan
     search.POOL_WORDS = 1
-    for n in diameters:
+    for n in args.diameters:
         cfg = SearchConfig(max_diameter=n)
         seconds = {1: [], 2: []}
         for rep in range(REPEATS):
@@ -35,7 +39,7 @@ def main(argv) -> None:
             f"jobs={j}: {statistics.median(v):.3f} ({min(v):.3f}-{max(v):.3f})"
             for j, v in seconds.items()
         )
-        print(f"{scan} diameter {n}  {cells}", flush=True)
+        print(f"{args.scan} diameter {n}  {cells}", flush=True)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@
 
 For each diameter and each scan kind ("mstd", "triple", and "equal", the
 triple scan with --report-equal) it runs the scan five times with one job
-and prints the number of prefix tasks, the raw hits the kernel returns,
+and prints the number of tasks, the raw hits the kernel returns,
 the canonical classes they dedup to, and the median seconds of the kernel
 (`search._task_hits`, every task run) and of the dedup (`search._classes`).
 """

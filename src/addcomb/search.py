@@ -3,16 +3,16 @@
 A set lives in one int: bit a set means a is an element. Sumsets and
 difference sets come from shift-or convolution, cardinalities from popcount.
 
-Both scans split the 2^n subsets containing 0 into 2^p prefix tasks of equal
-size: task P starts from the root {0} | P, P a subset of {1..p}, built from
-{0} by the kernel's own level update one element at a time, and extends it
-over {p+1..n}. A task's size is counted in uint64 words, sets times rows,
-and p is the least that keeps it within TASK_WORDS. One array kernel,
-`_chunk`, serves both scans: it doubles uint64 arrays once per element and
-tests every set with a vectorised popcount, keeping 3A and 2A-A (up to 3n+1
-bits) in two words each. `_task_hits` hands the tasks to a process pool
-when the scan is large enough to repay one; `_classes` dedups the hits in
-array operations.
+Both scans split the 2^n subsets containing 0 into 2^p tasks of equal size,
+counted in uint64 words, sets times rows: p is the least that keeps a task
+within TASK_WORDS. One level-wise build from {0} serves every level: the
+scan builds the subsets of {0..m} containing 0 once, in one slab, with
+m = max(p, n - p - 2), and each task is a contiguous block of the slab that
+the array kernel `_chunk` extends over {m+1..n}. `_build` doubles uint64
+arrays once per element; `_chunk` tests every set with a vectorised
+popcount, keeping 3A and 2A-A (up to 3n+1 bits) in two words each.
+`_task_hits` hands the tasks to a process pool when the scan is large
+enough to repay one; `_classes` dedups the hits in array operations.
 
 The reflection trick: rmask keeps the elements mirrored at fixed width n,
 so when element a joins, the new differences {a - a' : a' in A} are one
@@ -58,11 +58,11 @@ def worker_count(jobs: int, tasks: int, cpus: int) -> int:
 
     Below POOL_WORDS a scan starts no pool. scripts/pool_break_even.py on 2
     vCPUs, medians of 5 runs, one job vs a pool of two, 5 invocations: at
-    2^24 words MSTD at diameter 22 0.025-0.041 vs 0.034-0.056 s (pool faster
-    in 1 of 5), triple at 21 0.042-0.064 vs 0.039-0.050 s (5 of 5); at 2^25
-    MSTD at 23 0.055-0.076 vs 0.050-0.087 s (3 of 5), triple at 22
-    0.095-0.119 vs 0.074-0.081 s (5 of 5); at 2^26 MSTD at 24 0.101-0.157
-    vs 0.082-0.112 s (5 of 5). From 2^25 words a pool is at worst a toss-up."""
+    2^24 words MSTD at diameter 22 0.040-0.043 vs 0.043-0.070 s (pool faster
+    in 0 of 5), triple at 21 0.051-0.057 vs 0.047-0.063 s (4 of 5); at 2^25
+    MSTD at 23 0.072-0.086 vs 0.064-0.104 s (4 of 5), triple at 22
+    0.103-0.114 vs 0.078-0.104 s (5 of 5); at 2^26 MSTD at 24 0.154-0.174
+    vs 0.115-0.183 s (4 of 5). From 2^25 words a pool is ahead in both."""
     return min(jobs, tasks, cpus)
 
 
@@ -70,8 +70,10 @@ def worker_count(jobs: int, tasks: int, cpus: int) -> int:
 NODE_BUDGET = 1 << 30
 
 #: uint64 words one scan task covers: its 2^(n-p) sets times the rows its
-#: scan keeps per set, 4 for "mstd" and 8 for "triple" and "equal"; `_chunk`
-#: holds half of them at once, 1 MB
+#: scan keeps per set, 4 for "mstd" and 8 for "triple" and "equal". A
+#: process holds the slab, 2^m sets, and one task's arrays, 2^(n-p-1) sets:
+#: at most three quarters of these words, 1.5 MB, but for the triple scans
+#: at diameters 29 and 30, where m = p, which hold 2 and 3 MB
 TASK_WORDS = 1 << 18
 
 #: the fewest words, 2^n sets times the scan's rows, for which a scan
@@ -210,29 +212,35 @@ def _hits(arrays: np.ndarray, cfg: SearchConfig, scan: str) -> tuple:
     return mask[hit], c1[hit], c2[hit]
 
 
-def _chunk(args) -> tuple:
-    """Worker: the hits of one prefix task as three arrays, the masks
-    (uint64) and their counts c1 and c2 (uint8).
-
-    Level-wise over uint64 rows, one per quantity of `_add_element`: column
-    0 takes the root, {0} with the prefix's elements added in place, and
-    after element b < n, the upper half of each row holds the lower half's
-    sets with b added. The rows hold at most 2n+1 <= 61 bits, as NODE_BUDGET
-    keeps n <= 30; 3A and 2A-A, up to 3n+1 <= 91 bits, take two words.
-    "mstd" keeps only the nonnegative half of A-A. The last element, n, is
-    added in place once the sets without it are tested, so the arrays hold
-    half of the task's sets. Filters apply in the hit test.
-    """
-    cfg, scan, p, prefix = args
-    n = cfg.max_diameter
-    root = (1, 1 << n, 1, 1 << n, 1, 1 << n, 0, 0)[: 4 if scan == "mstd" else 8]  # the set {0}
-    arrays = np.empty((len(root), 1 << (n - p - 1)), np.uint64)
-    arrays[:, 0] = root
-    for b in mask_elements(prefix):
-        _add_element(arrays, slice(0, 1), slice(0, 1), b, n)
-    for b in range(p + 1, n):
-        k = 1 << (b - p - 1)
+def _build(first: np.ndarray, elements: range, n: int) -> np.ndarray:
+    """The sets of the columns `first` followed by each of them with every
+    nonempty subset of `elements` added, all above the elements of `first`:
+    the filled columns double once per element, the copies taking it."""
+    k = first.shape[1]
+    arrays = np.empty((len(first), k << len(elements)), np.uint64)
+    arrays[:, :k] = first
+    for b in elements:
         _add_element(arrays, slice(0, k), slice(k, 2 * k), b, n)
+        k *= 2
+    return arrays
+
+
+def _chunk(args) -> tuple:
+    """Worker: the hits of one task as three arrays, the masks (uint64) and
+    their counts c1 and c2 (uint8).
+
+    The task's sets are those of its block `first` of the slab, subsets of
+    {0..m}, with any subset of {m+1..n} added. Its arrays hold uint64 rows,
+    one per quantity of `_add_element`, built over m+1..n-1 by `_build`. The
+    rows hold at most 2n+1 <= 61 bits, as NODE_BUDGET keeps n <= 30; 3A and
+    2A-A, up to 3n+1 <= 91 bits, take two words. "mstd" keeps only the
+    nonnegative half of A-A. The last element, n, is added in place once
+    the sets without it are tested, so the arrays hold half of the task's
+    sets. Filters apply in the hit test.
+    """
+    cfg, scan, m, first = args
+    n = cfg.max_diameter
+    arrays = _build(first, range(m + 1, n), n)
     hits = [] if cfg.require_endpoints else [_hits(arrays, cfg, scan)]
     _add_element(arrays, slice(None), slice(None), n, n)
     hits.append(_hits(arrays, cfg, scan))
@@ -240,16 +248,24 @@ def _chunk(args) -> tuple:
 
 
 def _task_hits(cfg: SearchConfig, scan: str, jobs: int | None):
-    """The hits of `_chunk`, one triple of arrays per prefix task: task P
-    covers the sets {0} | P | S, P a subset of {1..p} and S of {p+1..n}, so
-    the tasks are of equal size, 2^(n-p) sets. p = max(0, n - log2(TASK_WORDS
-    / rows)) is the least that keeps a task within TASK_WORDS words."""
+    """The hits of `_chunk`, one triple of arrays per task.
+
+    p = max(0, n - log2(TASK_WORDS / rows)) is the least that keeps a task
+    of 2^(n-p) sets within TASK_WORDS words. The slab holds the 2^m subsets
+    of {0..m} containing 0, built from the root {0}, with m = max(p, n - p -
+    2): at least p, so that each task gets a block, and otherwise half as
+    wide as a task's arrays. The tasks are its 2^p contiguous blocks, each
+    extended over {m+1..n}, so they are of equal size and together hold
+    every set once."""
     n, jobs = cfg.max_diameter, default_jobs() if jobs is None else jobs
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     rows = 4 if scan == "mstd" else 8  # of `_chunk`, per set
     p = max(0, n - (TASK_WORDS // rows).bit_length() + 1)
-    tasks = [(cfg, scan, p, prefix << 1) for prefix in range(1 << p)]
+    m = max(p, n - p - 2)
+    root = np.array([(1, 1 << n, 1, 1 << n, 1, 1 << n, 0, 0)[:rows]], np.uint64).T  # {0}
+    slab = _build(root, range(1, m + 1), n)
+    tasks = [(cfg, scan, m, block) for block in np.split(slab, 1 << p, axis=1)]
     workers = worker_count(jobs, len(tasks), usable_cpus()) if rows << n >= POOL_WORDS else 1
     if workers == 1:
         return map(_chunk, tasks)

@@ -42,6 +42,16 @@ def test_script_main_runs(name, argv, heads, monkeypatch, capsys):
         assert any(line.startswith(head) for line in lines), (head, lines)
 
 
+@pytest.mark.parametrize("argv", [["mtsd", "8"], []])
+def test_pool_break_even_refuses_an_unknown_kind(argv, capsys):
+    """A misspelt scan kind, or none, is a usage error, not a timing of
+    the triple scan under the wrong label."""
+    with pytest.raises(SystemExit) as exc:
+        load_script("pool_break_even").main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_certify_times_reports_a_one_op_group(monkeypatch, capsys):
     """Below 24 ops each arity-3 group holds a single op, whose time is
     both its p50 and its p90."""

@@ -266,9 +266,29 @@ def set_counts(n: int) -> list:
     return out
 
 
-def chunk_hits(cfg, scan, p, prefix) -> list:
-    """The hits of one `_chunk` task as sorted (mask, c1, c2) ints."""
-    return sorted(zip(*(a.tolist() for a in search._chunk((cfg, scan, p, prefix)))))
+def set_rows(mask: int, n: int, scan: str) -> list:
+    """The rows `_add_element` keeps for the set `mask` in a scan at
+    diameter n, by plain int arithmetic: mask, mirrored mask, A+A and
+    (A-A) << n, the nonnegative half only for "mstd", then for the triple
+    scans the low words of 3A and (2A-A) << n and their high words."""
+    els = mask_elements(mask)
+    mirror = sum(1 << (n - a) for a in els)
+    sums = functools.reduce(int.__or__, (mask << a for a in els))
+    diffs = {a - b for a in els for b in els if scan != "mstd" or a >= b}
+    rows = [mask, mirror, sums, sum(1 << (n + d) for d in diffs)]
+    if scan == "mstd":
+        return rows
+    triple = functools.reduce(int.__or__, (sums << a for a in els))
+    mixed = functools.reduce(int.__or__, ((sums << n) >> a for a in els))
+    low = (1 << 64) - 1
+    return rows + [triple & low, mixed & low, triple >> 64, mixed >> 64]
+
+
+def chunk_hits(cfg, scan, m, first) -> list:
+    """The hits of the `_chunk` task that extends the set `first`, a subset
+    of {0..m}, over {m+1..n}, as sorted (mask, c1, c2) ints."""
+    column = np.array([set_rows(first, cfg.max_diameter, scan)], np.uint64).T
+    return sorted(zip(*(a.tolist() for a in search._chunk((cfg, scan, m, column)))))
 
 
 class TestPrefixTasks:
@@ -276,7 +296,7 @@ class TestPrefixTasks:
     def test_oracle_equivalence_over_many_tasks(self, monkeypatch, levels):
         # tasks of 2^levels triple sets (8 words each) and 2^(levels + 1)
         # MSTD sets (4 words), so every diameter here splits into many
-        # prefix tasks; MSTD sets first appear at diameter 14
+        # tasks; MSTD sets first appear at diameter 14
         monkeypatch.setattr(search, "TASK_WORDS", 8 << levels)
         for n in (*range(levels + 1, 13), 14):
             counts = set_counts(n)
@@ -293,28 +313,28 @@ class TestPrefixTasks:
                 assert found == sorted((k, *v) for k, v in expected.items()), (n, report_equal)
 
     def test_top_bits_at_diameter_thirty(self):
-        # the prefix {0} | P is the 8-element MSTD set, so the task's hits
+        # the task extends the 8-element MSTD set over {17..30}, so its hits
         # include sets with element 30, whose A+A reaches bit 60
-        n, p = 30, 16
-        prefix = mask_of(CANONICAL_MSTD8.elements[1:])
+        n, top = 30, 16
+        first = mask_of(CANONICAL_MSTD8.elements)
         expected = []
-        for suffix in range(1 << (n - p)):
-            mask = 1 | prefix | suffix << (p + 1)
+        for suffix in range(1 << (n - top)):
+            mask = first | suffix << (top + 1)
             s, d = sum_diff_counts(mask)
             if s > d:
                 expected.append((mask, s, d))
-        hits = chunk_hits(SearchConfig(max_diameter=n), "mstd", p, prefix)
+        hits = chunk_hits(SearchConfig(max_diameter=n), "mstd", top, first)
         assert hits == expected
         assert any(mask >> n for mask, _, _ in hits)
 
     def test_high_word_at_diameter_twenty_six(self):
         # 3A and (2A-A) << n reach bit 78, past the low word; the first sets
         # with |3A| > |2A-A| have diameter 26, and this task holds two
-        n, p = 26, 12
-        prefix = mask_of((1, 2, 3, 7))
+        n, top = 26, 12
+        first = mask_of((0, 1, 2, 3, 7))
         expected = {"triple": [], "equal": []}
-        for suffix in range(1 << (n - p)):
-            mask = 1 | prefix | suffix << (p + 1)
+        for suffix in range(1 << (n - top)):
+            mask = first | suffix << (top + 1)
             els = mask_elements(mask)
             sums = 0
             for a in els:
@@ -328,8 +348,26 @@ class TestPrefixTasks:
                 expected["triple" if t > m else "equal"].append((mask, t, m))
         cfg = SearchConfig(max_diameter=n)
         for scan, hits in expected.items():
-            assert chunk_hits(cfg, scan, p, prefix) == hits, scan
+            assert chunk_hits(cfg, scan, top, first) == hits, scan
         assert (mask_of((0, 1, 2, 3, 7, 19, 20, 23, 25, 26)), 78, 77) in expected["triple"]
+
+
+class TestSlab:
+    @pytest.mark.parametrize("task_words", [16, 64, 1 << 18])
+    @pytest.mark.parametrize("scan", ["mstd", "triple"])
+    def test_blocks_hold_each_subset_once(self, monkeypatch, scan, task_words):
+        # the blocks handed to `_chunk` are of equal width and together hold
+        # every subset of {0..m} containing 0 once, each column its set's rows
+        monkeypatch.setattr(search, "TASK_WORDS", task_words)
+        for n in range(1, 13):
+            tasks = []
+            monkeypatch.setattr(search, "_chunk", tasks.append)
+            list(search._task_hits(SearchConfig(max_diameter=n), scan, 1))
+            (m,) = {task[2] for task in tasks}
+            assert m < n and len({task[3].shape for task in tasks}) == 1, n
+            columns = np.concatenate([task[3] for task in tasks], axis=1).T.tolist()
+            assert sorted(c[0] for c in columns) == list(range(1, 2 << m, 2)), n
+            assert all(c == set_rows(c[0], n, scan) for c in columns), n
 
 
 class TestMstdSubsetCounts:
