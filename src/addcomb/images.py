@@ -5,25 +5,25 @@ the multiplicity of an image value x counts the ordered tuples realizing it.
 Sumsets and difference sets are the h = 2 special cases.
 
 Form values are computed here, for the whole package, as exact integer keys
-that coincide where the values do; only a shown or ordered key is decoded.
+that coincide where the values do; keys are ordered as they are, and only
+a shown key is decoded.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import (
     DIFFERENCE_FORM,
     SUM_FORM,
     FiniteSet,
     LinearForm,
-    RealElement,
     Scalar,
     clear_denominators,
+    decode,
     integer_columns,
-    real_order,
+    key_order,
     signed_form,
     value_table,
 )
@@ -40,31 +40,14 @@ def form_keys(form: LinearForm, elements) -> tuple[list, int]:
     return keys, m * mult
 
 
-def _exact(n: int, scale: int):
-    q, r = divmod(n, scale)
-    return q if r == 0 else Fraction(n, scale)
-
-
-def decode(keys, scale: int, basis) -> list:
-    """The exact values behind keys: each coordinate over scale, as
-    rationals (basis None) or RealElements over the basis."""
-    if basis is None:
-        return keys if scale == 1 else [_exact(n, scale) for n in keys]
-    if basis.dimension == 1:
-        keys = [(n,) for n in keys]
-    return [RealElement(basis, tuple(_exact(n, scale) for n in key)) for key in keys]
-
-
-def image_order(keys, scale: int, basis) -> tuple[list, list]:
-    """The distinct keys in increasing order of their values, and the values;
-    a symbolic order comes from model.real_order (ValueError on a float tie)."""
-    if basis is None:
-        ordered = sorted(keys)
-        return ordered, decode(ordered, scale, None)
+def image_order(keys, scale: int, basis) -> list:
+    """The distinct keys in increasing order of their values: rational and
+    dimension-1 keys are ints and sort as such, the others by
+    model.key_order (ValueError on a tie)."""
+    if basis is None or basis.dimension == 1:
+        return sorted(keys)
     keys = list(keys)
-    values = decode(keys, scale, basis)
-    order = real_order(values)
-    return [keys[i] for i in order], [values[i] for i in order]
+    return [keys[i] for i in key_order(keys, scale, basis)]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ exactly when there are as many distinct (domain value, codomain value)
 pairs as distinct values on either side, which takes O(k^h) hashing instead
 of comparing all k^{2h} pairs of tuples. Values are the exact integer keys of
 ``images.form_keys``, which coincide exactly where values do; ``images``
-also decodes and orders them.
+also orders them, and only a shown key is decoded.
 
 The 8-element MSTD sets are classified by normalization, not by a search
 over pairings. The canonical set lies on 13 hyperplanes x_i + x_j = x_l + x_m
@@ -187,13 +187,15 @@ def induced_bijection(form: LinearForm, f: SetBijection) -> InducedMap:
     """Build the induced value map and verify multiplicities transfer.
 
     Multiplicities are counted over the keys; images.image_order puts the
-    domain's distinct keys in value order and decodes each once.
+    domain's distinct keys in value order, and each side's keys are decoded
+    once, in that order.
     """
     verdict, forward, akeys, bkeys, (sa, sb) = _coincidences(form, f)
     if not verdict.is_isomorphism:
         raise ValueError(f"bijection is not an isomorphism (witness {verdict.witness})")
-    xkeys, xs = image_order(forward, sa, f.domain.basis)
+    xkeys = image_order(forward, sa, f.domain.basis)
     ykeys = [forward[key] for key in xkeys]
+    xs = decode(xkeys, sa, f.domain.basis)
     ys = decode(ykeys, sb, f.codomain.basis)
     ma, mb = Counter(akeys), Counter(bkeys)
     pairs = []

@@ -3,10 +3,11 @@
 Every quantity in this package is exact. Plain ints and ``fractions.Fraction``
 carry the rational arithmetic; a real number that is not rational is a
 :class:`RealElement`, a vector of rational coordinates over a declared basis
-of reals that the caller asserts to be linearly independent over Q. Floats
-appear in exactly two places: :func:`real_order`, the one function that
-orders RealElements, and the Dirichlet denominator search. They never decide
-an equality.
+of reals that the caller asserts to be linearly independent over Q.
+:func:`key_order`, the one order of symbolic reals, trusts each basis
+approximation to half an ulp and orders exact integer intervals, raising
+when two meet. Only the Dirichlet denominator search turns values into
+floats, and no float decides an equality or an order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import BudgetExceededError
@@ -81,9 +83,9 @@ class BasisDecl:
 class RealElement:
     """A real number given by exact rational coordinates over a BasisDecl.
 
-    Equality is coordinate equality. Order comes from :func:`real_order`,
-    by the float value sum(coord_i * approx_i); a float tie between unequal
-    coordinate vectors is a hard error, not a silent misordering.
+    Equality is coordinate equality. Order comes from :func:`key_order`, on
+    exact intervals around sum(coord_i * approx_i); two that meet are a hard
+    error, not a silent misordering.
     """
 
     basis: BasisDecl
@@ -126,15 +128,16 @@ class RealElement:
     __rmul__ = __mul__
 
     def _order_key(self, other) -> int:
-        """-1, 0 or 1 as self <, =, > other; a float tie between unequal
-        values raises. A rational other is embedded as (q, 0, ...)."""
+        """-1, 0 or 1 as self <, =, > other, by key_order, which raises on a
+        tie between unequal values. A rational other is embedded as (q, 0, ...)."""
         if not isinstance(other, RealElement):
             zeros = (0,) * (self.basis.dimension - 1)
             other = RealElement(self.basis, (as_rational(other),) + zeros)
         self._check_basis(other)
         if self.coords == other.coords:
             return 0
-        return -1 if real_order([self, other])[0] == 0 else 1
+        columns, m = integer_columns([self, other])
+        return -1 if key_order(list(zip(*columns)), m, self.basis)[0] == 0 else 1
 
     def __lt__(self, other):
         return self._order_key(other) < 0
@@ -179,27 +182,44 @@ class RealElement:
         return "<" + (" + ".join(terms) or "0") + ">"
 
 
-def _coords_str(coords: tuple) -> str:
-    return "(" + ", ".join(map(str, coords)) + ("," if len(coords) == 1 else "") + ")"
+def _exact(n: int, scale: int):
+    q, r = divmod(n, scale)
+    return q if r == 0 else Fraction(n, scale)
 
 
-def real_order(values: Sequence[RealElement]) -> list[int]:
-    """Positions of distinct RealElements in increasing order of their floats,
-    each computed once; equal adjacent floats, or one that overflows, raise."""
-    floats = []
-    for x in values:
-        try:
-            floats.append(float(x))
-        except (OverflowError, ValueError):
-            floats.append(math.inf)
-        if not math.isfinite(floats[-1]):
-            raise ValueError(f"symbolic real {_coords_str(x.coords)} is too large for a float")
-    order = sorted(range(len(values)), key=floats.__getitem__)
+def decode(keys, scale: int, basis) -> list:
+    """The exact values behind integer keys: each coordinate over scale, as
+    rationals (basis None) or RealElements over the basis."""
+    if basis is None:
+        return keys if scale == 1 else [_exact(n, scale) for n in keys]
+    if basis.dimension == 1:
+        keys = [(n,) for n in keys]
+    return [RealElement(basis, tuple(_exact(n, scale) for n in key)) for key in keys]
+
+
+def key_order(keys, scale: int, basis: BasisDecl) -> list[int]:
+    """Positions of distinct integer coordinate vectors (values times a
+    positive scale) in increasing order of their values.
+
+    Each value is an exact integer interval: the constant 1 is exact and
+    every other basis approximation is trusted to within half an ulp, all
+    over one power of two. Positions sort by centre; two neighbours whose
+    intervals meet raise the tie ValueError.
+    """
+    ratios = [a.as_integer_ratio() for a in basis.approx]
+    ratios += [(n, 2 * q) for n, q in (math.ulp(a).as_integer_ratio() for a in basis.approx[1:])]
+    d = max(q for _, q in ratios)  # the denominators are powers of two
+    ints = [n * d // q for n, q in ratios]
+    weights, radii = ints[: basis.dimension], [0] + ints[basis.dimension :]
+    centres = [sum(map(mul, key, weights)) for key in keys]
+    widths = [sum(map(mul, map(abs, key), radii)) for key in keys]
+    order = sorted(range(len(keys)), key=centres.__getitem__)
     for i, j in zip(order, order[1:]):
-        if floats[i] == floats[j]:
+        if centres[j] - centres[i] <= widths[i] + widths[j]:
+            a, b = ("(" + ", ".join(str(_exact(n, scale)) for n in keys[t]) + ")" for t in (i, j))
             raise ValueError(
-                f"float tie between distinct symbolic reals {_coords_str(values[i].coords)} and "
-                f"{_coords_str(values[j].coords)}; basis approximations cannot order them"
+                f"float tie between distinct symbolic reals {a} and {b}; "
+                "basis approximations cannot order them"
             )
     return order
 
@@ -225,7 +245,9 @@ class FiniteSet:
                 if x.basis != basis:
                     raise ValueError("elements lie over different bases")
             distinct = list({x.coords: x for x in items}.values())
-            self.elements: tuple = tuple(distinct[i] for i in real_order(distinct))
+            columns, m = integer_columns(distinct)
+            order = key_order(list(zip(*columns)), m, basis)
+            self.elements: tuple = tuple(distinct[i] for i in order)
             self.basis: BasisDecl | None = basis
         else:
             rats = sorted({as_rational(x) for x in items})

@@ -204,7 +204,10 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
     try:
         floats = [float(x) for x in image.elements]
         approx = np.array([float(a) for a in elems], dtype=np.float64)
-    except OverflowError:
+        finite = all(map(math.isfinite, floats)) and np.isfinite(approx).all()
+    except (OverflowError, ValueError):  # ValueError: fsum met inf - inf
+        finite = False
+    if not finite:
         raise ApproximationError(
             "an element or form value is too large for a float; "
             "the denominator search needs float approximations"
@@ -311,7 +314,7 @@ def realize_lp(A: FiniteSet, form: LinearForm) -> RealizationResult:
             v[i] += c
         groups[key].add(tuple(v))
     try:
-        order, _ = image_order(groups, scale, A.basis)
+        order = image_order(groups, scale, A.basis)
     except ValueError as exc:
         raise ApproximationError(f"cannot order the form values: {exc}") from None
     classes = [sorted(groups[key]) for key in order]

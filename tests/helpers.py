@@ -158,10 +158,10 @@ BASIS_GHOST = BasisDecl(("1", "ghost"), (1.0, 1.0))
 
 
 def float_order(values) -> list:
-    """The distinct symbolic reals in increasing order, as the package ordered
-    them before ``model.real_order``: sorted by ``float``, then each adjacent
-    pair compared by fresh floats. A tie raises ValueError naming the pair's
-    coordinate tuples by ``repr``."""
+    """The distinct symbolic reals in increasing order of their floats:
+    sorted by ``float``, then each adjacent pair compared by fresh floats. A
+    tie raises ValueError naming the pair's coordinate tuples by ``repr``.
+    It agrees with the exact order wherever floats separate values widely."""
     distinct = list({x.coords: x for x in values}.values())
     distinct.sort(key=float)
     for a, b in zip(distinct, distinct[1:]):

@@ -389,29 +389,78 @@ def test_tie_message_prints_rational_coordinates_by_str(capsys, tie):
     )
 
 
-def test_set_too_large_for_a_float_is_one_line(capsys, tmp_path):
+def test_set_too_large_for_a_float_is_answered(capsys, tmp_path):
+    """{10**400, s} orders on its integer coordinates; no float is computed."""
     p = tmp_path / "huge.set"
     p.write_text(f"basis: 1=1.0, s=1.4142135623730951\n{10**400}, 0\n0, 1\n")
-    code, out, err = run(capsys, "mstd", str(p))
-    assert (code, out) == (1, "")
-    assert err == f"error: symbolic real ({10**400}, 0) is too large for a float\n"
+    assert run(capsys, "mstd", str(p)) == (0, "sum=3 diff=3 MSTD=no\n", "")
+
+
+DIRICHLET_FLOAT_ERROR = (
+    "error: an element or form value is too large for a float; "
+    "the denominator search needs float approximations\n"
+)
 
 
 @pytest.mark.parametrize(
-    "argv, prefix",
+    "argv, want",
     [
-        (("image", "--form", "1,1"), ""),
-        (("realize", "--method", "dirichlet", "--form", "1,1"), "cannot order the form image: "),
-        (("realize", "--method", "lp", "--form", "1,1"), "cannot order the form values: "),
+        (
+            ("image", "--form", "1,1"),
+            (0, f"{{<2*s>, <{10**308}*1 + 1*s>, <{2 * 10**308}*1>}}\nsize=3\n", ""),
+        ),
+        (
+            ("realize", "--method", "lp", "--form", "1,1"),
+            (0, "B = {1, 2}\nmethod=lp pivots=1\ncertificate=OK\n", ""),
+        ),
+        (("realize", "--method", "dirichlet", "--form", "1,1"), (1, "", DIRICHLET_FLOAT_ERROR)),
     ],
 )
-def test_image_too_large_for_a_float_is_one_line(capsys, tmp_path, argv, prefix):
-    """A = {10**308, s} orders, but the sum 2 * 10**308 overflows a float."""
+def test_image_too_large_for_a_float(capsys, tmp_path, argv, want):
+    """A = {10**308, s}: the sum 2 * 10**308 is past the float range, which
+    only the dirichlet route's float search needs."""
     p = tmp_path / "huge.set"
     p.write_text(f"basis: 1=1.0, s=1.4142135623730951\n{10**308}, 0\n0, 1\n")
-    code, out, err = run(capsys, *argv, str(p))
-    assert (code, out) == (1, "")
-    assert err == f"error: {prefix}symbolic real ({2 * 10**308}, 0) is too large for a float\n"
+    assert run(capsys, *argv, str(p)) == want
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        (10**400, 0, 0),  # float() of the coordinate overflows
+        (0, 10, 0),  # a term is inf
+        (10**308, 1, 0),  # fsum overflows
+        (0, 10, -10),  # inf - inf
+    ],
+)
+def test_dirichlet_refuses_values_past_the_float_range(capsys, tmp_path, coords):
+    """Each value, with bigger = (0, 0, 1) far from it, orders exactly; the
+    q-scan then needs floats that do not exist."""
+    row = ", ".join(map(str, coords))
+    p = tmp_path / "huge.set"
+    p.write_text(f"basis: 1=1.0, big=1e308, bigger=1e308\n{row}\n0, 0, 1\n")
+    code, out, err = run(capsys, "realize", "--method", "dirichlet", "--form", "1,1", str(p))
+    assert (code, out, err) == (1, "", DIRICHLET_FLOAT_ERROR)
+
+
+#: 1000 * sqrt2 - 1414 = 0.2135623730950488... is below 0.2135623730951, but
+#: the declared sqrt2, trusted to half an ulp, cannot tell the two apart
+CLOSE_SET = (
+    "basis: 1=1.0, sqrt2=1.4142135623730951\n-1414, 1000\n2135623730951/10000000000000, 0\n"
+)
+
+
+@pytest.mark.parametrize("argv", [("image", "--form", "1"), ("iso-check", "--form", "1,1")])
+def test_values_closer_than_the_basis_resolves_are_a_tie(capsys, tmp_path, argv):
+    p = tmp_path / "close.set"
+    p.write_text(CLOSE_SET)
+    files = (str(p), str(p)) if argv[0] == "iso-check" else (str(p),)
+    assert run(capsys, *argv, *files) == (
+        1,
+        "",
+        "error: float tie between distinct symbolic reals (2135623730951/10000000000000, 0) "
+        "and (-1414, 1000); basis approximations cannot order them\n",
+    )
 
 
 def test_dirichlet_stops_where_q_times_a_overflows(capsys, tmp_path):

@@ -402,7 +402,8 @@ def test_pair_set_comparison_matches_the_key_walk():
             continue
         isos += 1
         assert list(forward.items()) == [(a, b) for a, (b, _) in walk_forward.items()]
-        xkeys, xs = images.image_order(walk_forward, sa, f.domain.basis)
+        xkeys = images.image_order(walk_forward, sa, f.domain.basis)
+        xs = images.decode(xkeys, sa, f.domain.basis)
         ys = images.decode([walk_forward[x][0] for x in xkeys], sb, f.codomain.basis)
         assert [(x, y) for x, y, _ in induced_bijection(form, f).pairs] == list(zip(xs, ys))
     assert failing >= 800 and isos >= 400

@@ -1,3 +1,4 @@
+import hashlib
 import operator
 import random
 import re
@@ -20,10 +21,12 @@ from helpers import (
     BASIS_SQRT2,
     BASIS_SQRT23,
     BASIS_UNIT,
+    SET_KINDS,
     float_order,
     random_form,
     random_int_set,
     random_rational,
+    random_set,
 )
 
 
@@ -92,16 +95,13 @@ class TestRealOrder:
             cases = (
                 (_outcome(lambda: list(FiniteSet(values))), _outcome(lambda: float_order(values))),
                 (
-                    _outcome(lambda: image_order(keys, scale, basis)),
+                    _outcome(lambda: decode(image_order(keys, scale, basis), scale, basis)),
                     _outcome(lambda: float_order(decoded)),
                 ),
             )
             for (got, got_err), (want, want_err) in cases:
                 if want_err is None:
                     assert got_err is None
-                    if isinstance(got, tuple):  # image_order: keys and values
-                        assert decode(got[0], scale, basis) == got[1]
-                        got = got[1]
                     assert got == want
                     seen["ordered"] += 1
                 elif "Fraction(" in want_err:
@@ -112,30 +112,45 @@ class TestRealOrder:
                     seen["tie, integer"] += 1
         assert min(seen.values()) >= 20, seen
 
-    def test_dimension_one_tie_message_matches_oracle(self):
-        values = [BASIS_UNIT.element((2**53 + n,)) for n in (1, 0)]
-        with pytest.raises(ValueError) as want:
-            float_order(values)
-        with pytest.raises(ValueError) as got:
-            FiniteSet(values)
-        assert str(got.value) == str(want.value)
-        assert "(9007199254740993,) and (9007199254740992,)" in str(got.value)
+    def test_outcomes_over_random_sets_are_pinned(self):
+        """FiniteSet on shuffled elements and image_order on shuffled distinct
+        keys, over helpers.random_set: the pin is the float order's, which
+        these values are far enough apart to share."""
+        rng = random.Random(5)
+        digest = hashlib.sha256()
+        for i in range(2000):
+            A = random_set(rng, SET_KINDS[i % len(SET_KINDS)], 8)
+            elements = list(A.elements)
+            rng.shuffle(elements)
+            digest.update(repr(FiniteSet(elements).elements).encode())
+            keys, scale = form_keys(random_form(rng, 3), A.elements)
+            keys = list(dict.fromkeys(keys))
+            rng.shuffle(keys)
+            digest.update(repr(image_order(keys, scale, A.basis)).encode())
+        assert digest.hexdigest() == (
+            "5e4cc22d44c1210f0c4fbe2ca029340babaaed348829240165caaabbc0030b18"
+        )
 
-    def test_each_float_is_computed_once(self, monkeypatch):
-        calls = []
-        to_float = RealElement.__float__
-        monkeypatch.setattr(RealElement, "__float__", lambda x: calls.append(x) or to_float(x))
+    def test_dimension_one_orders_exactly(self):
+        """2^53 + 1 and 2^53 share a float, but the unit basis is exact."""
+        big, small = (BASIS_UNIT.element((2**53 + n,)) for n in (1, 0))
+        assert FiniteSet([big, small]).elements == (small, big)
+        assert small < big and not big < small and 2**53 < big
+        assert image_order([2**53 + 1, 2**53], 1, BASIS_UNIT) == [2**53, 2**53 + 1]
+
+    def test_no_float_is_computed(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("a float was computed to order symbolic reals")
+
+        monkeypatch.setattr(RealElement, "__float__", refuse)
         rng = random.Random(7)
         values = [
             BASIS_SQRT23.element((n, rng.randint(-2, 2), rng.randint(-2, 2))) for n in range(20)
         ]
         assert len(FiniteSet(values + values[::3])) == 20
-        assert len(calls) == 20
         keys, scale = form_keys(LinearForm((1, 1, -1)), values)
         keys = list(dict.fromkeys(keys))
-        calls.clear()
-        image_order(keys, scale, BASIS_SQRT23)
-        assert len(calls) == len(keys)
+        assert sorted(image_order(keys, scale, BASIS_SQRT23)) == sorted(keys)
 
     @pytest.mark.parametrize(
         "coords",
@@ -143,14 +158,24 @@ class TestRealOrder:
             (10**400, 0, 0),  # float() of the coordinate overflows
             (0, 10, 0),  # a term is inf
             (10**308, 1, 0),  # fsum overflows
-            (0, 10, -10),  # inf - inf
         ],
     )
-    def test_overflow_names_the_coordinates(self, coords):
+    def test_values_beyond_float_range_order_exactly(self, coords):
         huge = BasisDecl(("1", "big", "bigger"), (1.0, 1e308, 1e308))
         x, zero = huge.element(coords), huge.element((0, 0, 0))
-        message = f"symbolic real {coords} is too large for a float"
-        for order in (lambda: FiniteSet([zero, x]), lambda: x < zero, lambda: 0 < x):
+        assert FiniteSet([x, zero]).elements == (zero, x)
+        assert zero < x and not x < zero and 0 < x
+
+    def test_difference_of_equal_approximations_is_a_tie(self):
+        """10 * big - 10 * bigger: both approximations are 1e308 to within
+        half an ulp, so its sign is unknown."""
+        huge = BasisDecl(("1", "big", "bigger"), (1.0, 1e308, 1e308))
+        x, zero = huge.element((0, 10, -10)), huge.element((0, 0, 0))
+        message = (
+            "float tie between distinct symbolic reals (0, 0, 0) and (0, 10, -10); "
+            "basis approximations cannot order them"
+        )
+        for order in (lambda: FiniteSet([zero, x]), lambda: zero < x):
             with pytest.raises(ValueError) as exc:
                 order()
             assert str(exc.value) == message
