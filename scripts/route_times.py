@@ -8,7 +8,9 @@ For each seed it draws the first --suites (default 2) suites of
 realize-suite workload does, and realizes every set under every suite form
 by both routes in one process. It prints, per route, the number of calls,
 their total seconds, the p50 / p90 / max of the call time, and for
-dirichlet the p50 / p90 / max of the q found.
+dirichlet the p50 / p90 / max of the q found. Then, per set size k, one
+line for the lp route: the p50 / p90 / max of its call time and of its
+simplex pivots.
 """
 
 import argparse
@@ -40,6 +42,7 @@ def main(argv) -> None:
     forms = [model.LinearForm(c) for c in SUITE_FORMS]
     seconds = {route: [] for route in ROUTES}
     qs = []
+    lp_by_k = {}  # k -> [(seconds, pivots)]
     for seed in args.seeds:
         rng = random.Random(seed)
         for _ in range(args.suites):
@@ -48,9 +51,12 @@ def main(argv) -> None:
                     for route in ROUTES:
                         t0 = time.perf_counter()
                         r = realize(A, form, route)
-                        seconds[route].append(time.perf_counter() - t0)
+                        dt = time.perf_counter() - t0
+                        seconds[route].append(dt)
                         if route == "dirichlet" and r.params is not None:
                             qs.append(r.params.q)
+                        elif route == "lp":
+                            lp_by_k.setdefault(len(A), []).append((dt, r.params.pivots))
     print(f"seeds {args.seeds}, {args.suites} suites each")
     for route, times in seconds.items():
         print(
@@ -58,6 +64,12 @@ def main(argv) -> None:
             f"call ms p50/p90/max {quantiles([1e3 * t for t in times])}"
         )
     print(f"dirichlet  q p50/p90/max {quantiles(qs)}")
+    for k, calls in sorted(lp_by_k.items()):
+        print(
+            f"lp k={k}     calls {len(calls)}  call ms p50/p90/max "
+            f"{quantiles([1e3 * t for t, _ in calls])}  "
+            f"pivots p50/p90/max {quantiles([p for _, p in calls])}"
+        )
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ the dirichlet route can only cause retries, never a wrong accepted answer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -177,6 +178,14 @@ def _fill_consecutive(out: np.ndarray, start: int) -> None:
         done += m
 
 
+@functools.cache
+def _scan_buffer() -> np.ndarray:
+    """The q-scan's rows q, q*a_i, round(q*a_i) and the max residual: one
+    buffer per process, so two threads must not scan at once. Its pages are
+    touched only as far as the largest block reaches."""
+    return np.empty((4, Q_BLOCK_MAX), dtype=np.float64)
+
+
 def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> RealizationResult:
     """Find q with every q*a_i within epsilon of an integer b_i, epsilon
     chosen so integer-side coincidences match exact-side ones.
@@ -184,8 +193,8 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
     The scan is the plain increasing one over q, block-vectorized on the
     float approximations: the first block holds Q_BLOCK_MIN values of q and
     each next one twice as many, up to Q_BLOCK_MAX, so a small q is found
-    after a small block. The blocks are slices of one buffer allocated per
-    call, and the residuals are computed in place. A certificate failure
+    after a small block. The blocks are slices of one buffer kept for the
+    process, and the residuals are computed in place. A certificate failure
     (possible only if the float gap estimate lied) halves epsilon and
     resumes the scan after the rejected q.
     """
@@ -228,9 +237,7 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
     else:
         rational_elems = None  # genuinely irrational: float residuals only
     best_residual = math.inf
-    # rows q, q*a_i, round(q*a_i) and the max residual; pages are touched
-    # only as far as the largest block reaches
-    buffer = np.empty((4, Q_BLOCK_MAX), dtype=np.float64)
+    buffer = _scan_buffer()
     block = Q_BLOCK_MIN
     q = 0
     while q < q_bound:
@@ -335,7 +342,7 @@ def realize_lp(A: FiniteSet, form: LinearForm) -> RealizationResult:
         # are dense in its solution set, so infeasibility means a bug.
         raise CertificateError("constraint system infeasible; internal error")
     m = math.lcm(*(x.denominator for x in t))
-    raw = [int(m * x) for x in t]
+    raw = [x.numerator * (m // x.denominator) for x in t]
     _check_class_structure(classes, raw)
     params = LpParams(sum(map(len, classes)), stats.equations, stats.inequalities, stats.pivots)
     return _finish(A, form, raw, "lp", params)

@@ -7,9 +7,17 @@ over free variables t. Gauss-Jordan elimination on the equation rows also
 clears their pivot columns from the inequality rows, which leaves a system
 in the free columns alone; a phase-1 simplex with Bland's rule decides its
 feasibility, and each pivot column is read back from its equation row.
-Both steps run on one fraction-free integer pivot (Bareiss 1968, rows
-divided by their gcd) that makes the pivots of the rational tableau;
-floats never appear.
+
+Each step holds its tableau in one 2-D numpy integer array, and both run
+on one fraction-free pivot (Bareiss 1968, rows divided by their gcd) that
+makes the pivots of the rational tableau; floats never appear. The array
+is int64 while every entry is below 2^31 in magnitude, so that p*a - f*b
+cannot reach 2^63, where int64 would wrap without a word. The bound is
+checked on the input rows, on the phase-1 objective row (a sum of rows,
+which can pass it while no row does) and after every pivot, where a bound
+on the old entries proves it or the new ones are read. An array that
+reaches it becomes dtype=object and does the same operations on Python
+ints from then on.
 """
 
 from __future__ import annotations
@@ -17,6 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
+#: int64 tableau entries stay below this magnitude, so p*a - f*b < 2^63
+INT64_BOUND = 1 << 31
 
 
 @dataclass
@@ -26,65 +39,121 @@ class SimplexStats:
     inequalities: int = 0
 
 
-def _pivot(rows: list[list[int]], r: int, c: int) -> None:
-    """Clear column c from every row but rows[r], whose entry p there is > 0.
+def _top(T: np.ndarray) -> int | None:
+    """The largest magnitude of an int64 array's entries, or None if the
+    array holds Python ints or an entry reaches INT64_BOUND."""
+    if T.dtype == object:
+        return None
+    top = max(int(T.max()), -int(T.min()))
+    return top if top < INT64_BOUND else None
 
-    Each other row becomes (p*row - f*prow) / gcd, a positive multiple of
-    the row that rational elimination would produce.
+
+def _array(rows):
+    """Integer rows as an int64 array and its _top, or as Python ints and
+    None if they are wide. The dtype is never numpy's guess, which may be
+    uint64 or float64."""
+    try:
+        T = np.array(rows, dtype=np.int64)
+        top = _top(T)
+        if top is not None:
+            return T, top
+    except OverflowError:
+        pass
+    return np.array(rows, dtype=object), None
+
+
+def _pivot(T: np.ndarray, r: int, c: int, top):
+    """Clear column c from every row but T[r], whose entry p there is > 0.
+
+    Each other row becomes (p*row - f*prow) / gcd, with f its entry in
+    column c, a positive multiple of the row that rational elimination
+    would produce (a row with f = 0 only loses its gcd). top bounds the
+    magnitude of T's entries, None over Python ints. Returns the new
+    tableau and its bound; the tableau is over Python ints once an entry
+    reaches INT64_BOUND.
     """
-    prow = rows[r]
-    p = prow[c]
-    for i, row in enumerate(rows):
-        f = row[c]
-        if i != r and f:
-            new = [p * a - f * b for a, b in zip(row, prow)]
-            g = math.gcd(*new)
-            rows[i] = [x // g for x in new] if g > 1 else new
+    new = T * T[r, c]
+    new -= T[:, c, None] * T[r]
+    g = np.gcd.reduce(new, axis=1)
+    np.maximum(g, 1, out=g)  # rows that are all zero, row r among them
+    new //= g[:, None]
+    new[r] = T[r]
+    if top is None:
+        return new, None
+    # |p*a - f*b| <= 2 top^2, which the gcd only divides: while that is
+    # below the bound no entry needs reading
+    top = 2 * top * top
+    if top < INT64_BOUND:
+        return new, top
+    top = _top(new)
+    return (new, top) if top is not None else (new.astype(object), None)
 
 
-def _phase1(ineqs: list[list[int]], nfree: int, stats: SimplexStats):
+def _tableau(G: list, nfree: int, dtype) -> np.ndarray:
+    """The phase-1 tableau [G | -G | -I | 1], rhs last, over its objective
+    row: the sum of the rows, which is the cost row negated."""
+    m = len(G)
+    ncols = 2 * nfree + m
+    T = np.zeros((m + 1, ncols + 1), dtype=dtype)
+    T[:m, :nfree] = G
+    np.negative(T[:m, :nfree], out=T[:m, nfree : 2 * nfree])
+    T.flat[2 * nfree : m * (ncols + 1) : ncols + 2] = -1  # surplus columns
+    T[:m, -1] = 1
+    np.add.reduce(T[:m], out=T[m])
+    return T
+
+
+def _phase1(G: list, nfree: int, stats: SimplexStats):
     """Solve {G z >= 1, z free} by minimizing artificial infeasibility.
 
     z splits into u - v with u, v >= 0, plus one surplus per row. Artificial
     variables form the initial basis implicitly: they carry labels past the
-    real columns and are never eligible to re-enter. The phase-1 cost row
-    is the last tableau row. Returns z or None.
+    real columns and are never eligible to re-enter. The last tableau row
+    holds the reduced costs negated, so a column with a positive entry
+    there may enter. Returns z as (numerator, denominator) pairs, or None.
     """
-    m = len(ineqs)
-    if m == 0:
-        return [Fraction(0)] * nfree
+    m = len(G)
     ncols = 2 * nfree + m
-    rows = []
-    for i, g in enumerate(ineqs):
-        row = list(g) + [-x for x in g] + [0] * m + [1]  # last entry: rhs
-        row[2 * nfree + i] = -1
-        rows.append(row)
-    rows.append([-sum(col) for col in zip(*rows)])  # cost row
-    basis = [ncols + i for i in range(m)]  # artificial labels
+    top = None
+    try:
+        T = _tableau(G, nfree, np.int64)
+        # the int64 objective row is exact while the rows are within the
+        # bound, and the bound is checked on both at once
+        top = _top(T)
+    except OverflowError:
+        pass
+    if top is None:
+        T = _tableau(G, nfree, object)
+    basis = list(range(ncols, ncols + m))  # artificial labels
     while True:
-        enter = next((j for j in range(ncols) if rows[-1][j] < 0), None)
+        objective = T[m, :ncols].tolist()
+        enter = next((j for j, x in enumerate(objective) if x > 0), None)
         if enter is None:
             break
-        cands = [i for i in range(m) if rows[i][enter] > 0]
+        col, rhs = T[:m, enter].tolist(), T[:m, -1].tolist()
+        cands = [i for i, a in enumerate(col) if a > 0]
         if not cands:
             # phase-1 objective is bounded below by 0, so this cannot happen
             raise RuntimeError("phase-1 simplex detected an unbounded direction")
         leave = cands[0]
         for i in cands[1:]:
             # rhs_i / a_i against rhs_leave / a_leave, cross-multiplied
-            d = rows[i][-1] * rows[leave][enter] - rows[leave][-1] * rows[i][enter]
+            d = rhs[i] * col[leave] - rhs[leave] * col[i]
             if d < 0 or (d == 0 and basis[i] < basis[leave]):
                 leave = i
         stats.pivots += 1
-        _pivot(rows, leave, enter)
+        T, top = _pivot(T, leave, enter, top)
         basis[leave] = enter
-    if rows[-1][-1]:
+    rows = T.tolist()
+    if rows[m][-1]:
         return None  # residual infeasibility
-    z = [Fraction(0)] * nfree
-    for i, b in enumerate(basis):
-        if b < 2 * nfree:  # u_b, or v_(b - nfree) entering z negated
-            x = Fraction(rows[i][-1], rows[i][b])
-            z[b % nfree] += x if b < nfree else -x
+    z = [(0, 1)] * nfree
+    # columns u_j and v_j are opposite, so at most one of them is basic
+    for row, b in zip(rows, basis):
+        if b < nfree:
+            z[b] = (row[-1], row[b])
+        elif b < 2 * nfree:  # v_(b - nfree) enters z negated
+            z[b - nfree] = (-row[-1], row[b])
     return z
 
 
@@ -94,42 +163,46 @@ def feasible_point(equations, inequalities, nvars: int):
     Returns (t, stats). Coefficient rows must be integer sequences.
     """
     stats = SimplexStats(equations=len(equations), inequalities=len(inequalities))
+    if not inequalities:
+        return [Fraction(0)] * nvars, stats
     neq = len(equations)
-    # equation rows [e | 0] above inequality rows [g | 1], rhs last
-    rows = [list(e) + [0] for e in equations] + [list(g) + [1] for g in inequalities]
-    piv_cols = []
-    for c in range(nvars):
-        r = len(piv_cols)
-        pivot = next((i for i in range(r, neq) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        _pivot(rows, r, c)
-        piv_cols.append(c)
+    piv_cols, rows = [], []
+    if neq:
+        # equation rows [e | 0] above inequality rows [g | 1], rhs last
+        T, top = _array([[*e, 0] for e in equations] + [[*g, 1] for g in inequalities])
+        for c in range(nvars):
+            r = len(piv_cols)
+            if r == neq:
+                break
+            nz = T[r:neq, c].nonzero()[0]
+            if not nz.size:
+                continue
+            if nz[0]:
+                T[[r, r + nz[0]]] = T[[r + nz[0], r]]
+            if T[r, c] < 0:
+                T[r] *= -1
+            T, top = _pivot(T, r, c, top)
+            piv_cols.append(c)
+        rows = T.tolist()
     free = [c for c in range(nvars) if c not in piv_cols]
-    # each inequality row is now lam_i * (g'_i | 1), lam_i > 0, zero in the
-    # pivot columns. Brought to one common rhs, all rows share one positive
-    # factor, which Bland's rule and the ratio test ignore; a factor per row
-    # would change the cost row (minus the sum of the rows) and the pivots
-    scale = math.lcm(*(row[-1] for row in rows[neq:]))
-    reduced = []
-    seen = set()
-    for row in rows[neq:]:
-        f = scale // row[-1]
-        g = tuple(f * row[c] for c in free)
-        if not any(g):
-            return None, stats  # 0 >= 1: equations force this constraint empty
-        if g not in seen:
-            seen.add(g)
-            reduced.append(g)
-    z = _phase1(reduced, len(free), stats)
+    if rows:
+        # each inequality row is now lam_i * (g'_i | 1), lam_i > 0, zero in
+        # the pivot columns. Brought to one common rhs, all rows share one
+        # positive factor, which Bland's rule and the ratio test ignore; a
+        # factor per row would change the phase-1 objective row (the sum of
+        # the rows) and the pivots
+        scale = math.lcm(*(row[-1] for row in rows[neq:]))
+        reduced = [tuple(scale // row[-1] * row[c] for c in free) for row in rows[neq:]]
+    else:
+        scale, reduced = 1, inequalities
+    if not all(map(any, reduced)):
+        return None, stats  # 0 >= 1: equations force this constraint empty
+    z = _phase1(list(dict.fromkeys(map(tuple, reduced))), len(free), stats)
     if z is None:
         return None, stats
     t = [Fraction(0)] * nvars
-    for c, zc in zip(free, z):
-        t[c] = scale * zc
+    for c, (num, den) in zip(free, z):
+        t[c] = Fraction(scale * num, den)
     for row, pc in zip(rows, piv_cols):
         t[pc] = -sum((row[c] * t[c] for c in free if row[c]), Fraction(0)) / row[pc]
     return t, stats

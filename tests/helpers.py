@@ -25,6 +25,7 @@ from addcomb import (
     realize,
 )
 from addcomb.images import form_keys
+from addcomb.simplex import SimplexStats
 
 SQRT2 = 1.4142135623730951
 SQRT3 = 1.7320508075688772
@@ -298,6 +299,116 @@ def fourier_motzkin_feasible(equations, inequalities, nvars: int) -> bool:
             for n in neg:
                 ineqs.add(_normalise([-n[j] * x + p[j] * y for x, y in zip(p, n)]))
     return not ineqs
+
+
+def satisfied(equations, inequalities, t) -> bool:
+    """Whether E t = 0 and G t >= 1 hold exactly."""
+    for e in equations:
+        if sum(c * x for c, x in zip(e, t)) != 0:
+            return False
+    for g in inequalities:
+        if sum(c * x for c, x in zip(g, t)) < 1:
+            return False
+    return True
+
+
+def _list_pivot(rows: list[list[int]], r: int, c: int) -> None:
+    """Clear column c from every row but rows[r], whose entry p there is > 0,
+    each other row becoming (p*row - f*prow) / gcd."""
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f:
+            new = [p * a - f * b for a, b in zip(row, prow)]
+            g = math.gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
+
+
+def _list_phase1(ineqs, nfree: int, stats):
+    """Phase 1 of {G z >= 1, z free} over z = u - v, one surplus per row and
+    implicit artificial labels past the real columns; the cost row is last."""
+    m = len(ineqs)
+    if m == 0:
+        return [Fraction(0)] * nfree
+    ncols = 2 * nfree + m
+    rows = []
+    for i, g in enumerate(ineqs):
+        row = list(g) + [-x for x in g] + [0] * m + [1]  # last entry: rhs
+        row[2 * nfree + i] = -1
+        rows.append(row)
+    rows.append([-sum(col) for col in zip(*rows)])  # cost row
+    basis = [ncols + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(ncols) if rows[-1][j] < 0), None)
+        if enter is None:
+            break
+        cands = [i for i in range(m) if rows[i][enter] > 0]
+        if not cands:
+            raise RuntimeError("phase-1 simplex detected an unbounded direction")
+        leave = cands[0]
+        for i in cands[1:]:
+            d = rows[i][-1] * rows[leave][enter] - rows[leave][-1] * rows[i][enter]
+            if d < 0 or (d == 0 and basis[i] < basis[leave]):
+                leave = i
+        stats.pivots += 1
+        _list_pivot(rows, leave, enter)
+        basis[leave] = enter
+    if rows[-1][-1]:
+        return None
+    z = [Fraction(0)] * nfree
+    for i, b in enumerate(basis):
+        if b < 2 * nfree:
+            x = Fraction(rows[i][-1], rows[i][b])
+            z[b % nfree] += x if b < nfree else -x
+    return z
+
+
+def list_feasible_point(equations, inequalities, nvars: int):
+    """The simplex on a list of Python-int lists: the reference for the
+    array tableau of ``addcomb.simplex.feasible_point``, which must return
+    the same t and the same pivot, equation and inequality counts.
+
+    Same algorithm: Gauss-Jordan on the equation rows (which also clears
+    their pivot columns from the inequality rows), the inequality rows
+    brought to one common rhs and deduplicated, then phase 1 with Bland's
+    rule and a cross-multiplied ratio test.
+    """
+    stats = SimplexStats(equations=len(equations), inequalities=len(inequalities))
+    neq = len(equations)
+    rows = [list(e) + [0] for e in equations] + [list(g) + [1] for g in inequalities]
+    piv_cols = []
+    for c in range(nvars):
+        r = len(piv_cols)
+        pivot = next((i for i in range(r, neq) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        _list_pivot(rows, r, c)
+        piv_cols.append(c)
+    free = [c for c in range(nvars) if c not in piv_cols]
+    scale = math.lcm(*(row[-1] for row in rows[neq:]))
+    reduced = []
+    seen = set()
+    for row in rows[neq:]:
+        f = scale // row[-1]
+        g = tuple(f * row[c] for c in free)
+        if not any(g):
+            return None, stats
+        if g not in seen:
+            seen.add(g)
+            reduced.append(g)
+    z = _list_phase1(reduced, len(free), stats)
+    if z is None:
+        return None, stats
+    t = [Fraction(0)] * nvars
+    for c, zc in zip(free, z):
+        t[c] = scale * zc
+    for row, pc in zip(rows, piv_cols):
+        t[pc] = -sum((row[c] * t[c] for c in free if row[c]), Fraction(0)) / row[pc]
+    return t, stats
 
 
 def first_close_denominator(elements, eps, after: int = 0) -> int:

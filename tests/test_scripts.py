@@ -6,6 +6,7 @@ rather than on the next manual run.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -27,7 +28,12 @@ def load_script(name: str):
     "name, argv, heads",
     [
         ("scan_times", ["8"], ["diameter 8 mstd", "diameter 8 triple", "diameter 8 equal"]),
-        ("route_times", ["--suites", "1", "1"], ["seeds [1], 1 suites each", "dirichlet", "lp", "dirichlet  q"]),
+        (
+            "route_times",
+            ["--suites", "1", "1"],
+            ["seeds [1], 1 suites each", "dirichlet", "lp", "dirichlet  q"]
+            + [f"lp k={k}     calls" for k in range(2, 9)],
+        ),
         ("pool_break_even", ["mstd", "8"], ["mstd diameter 8"]),
     ],
 )
@@ -64,3 +70,22 @@ def test_certify_times_reports_a_one_op_group(monkeypatch, capsys):
         p50, p90 = line.split("p50/p90")[1].split("/")
         assert p50.strip() == p90.strip()
     assert lines[-1].startswith("all") and "ops   12" in lines[-1]
+
+
+def test_bench_pairs_runs_one_pair(tmp_path):
+    """One short pair of realize-suite runs on one tree: both runs are
+    recorded with their metrics, and the medians and versions are written."""
+    root = SCRIPTS.parent
+    out = tmp_path / "pairs.json"
+    load_script("bench_pairs").main(
+        [str(root), str(root), "--workload", "realize-suite", "--pairs", "1",
+         "--seconds", "0.1", "--out", str(out)]
+    )
+    report = json.loads(out.read_text())
+    assert report["nproc"] >= 1 and report["python"] and report["numpy"]
+    suite = report["workloads"]["realize-suite"]
+    assert [r["tree"] for r in suite["runs"]] == ["parent", "change"]
+    assert suite["all_correct"]
+    for name in ("parent", "change"):
+        assert suite["medians"][name]["ops_per_s"] > 0
+    assert set(suite["change_better_pairs"]) == set(suite["medians"]["parent"])
