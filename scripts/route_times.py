@@ -9,8 +9,9 @@ realize-suite workload does, and realizes every set under every suite form
 by both routes in one process. It prints, per route, the number of calls,
 their total seconds, the p50 / p90 / max of the call time, and for
 dirichlet the p50 / p90 / max of the q found. Then, per set size k, one
-line for the lp route: the p50 / p90 / max of its call time and of its
-simplex pivots.
+line for each route: the p50 / p90 / max of the call time, and the p50 /
+max of the q found (dirichlet) or the p50 / p90 / max of the simplex pivots
+(lp).
 """
 
 import argparse
@@ -41,7 +42,7 @@ def main(argv) -> None:
 
     forms = [model.LinearForm(c) for c in SUITE_FORMS]
     seconds = {route: [] for route in ROUTES}
-    qs = []
+    dirichlet_by_k = {}  # k -> [(seconds, q)]
     lp_by_k = {}  # k -> [(seconds, pivots)]
     for seed in args.seeds:
         rng = random.Random(seed)
@@ -54,7 +55,7 @@ def main(argv) -> None:
                         dt = time.perf_counter() - t0
                         seconds[route].append(dt)
                         if route == "dirichlet" and r.params is not None:
-                            qs.append(r.params.q)
+                            dirichlet_by_k.setdefault(len(A), []).append((dt, r.params.q))
                         elif route == "lp":
                             lp_by_k.setdefault(len(A), []).append((dt, r.params.pivots))
     print(f"seeds {args.seeds}, {args.suites} suites each")
@@ -63,7 +64,15 @@ def main(argv) -> None:
             f"{route:9}  calls {len(times)}  total {sum(times):.3f} s  "
             f"call ms p50/p90/max {quantiles([1e3 * t for t in times])}"
         )
+    qs = [q for calls in dirichlet_by_k.values() for _, q in calls]
     print(f"dirichlet  q p50/p90/max {quantiles(qs)}")
+    for k, calls in sorted(dirichlet_by_k.items()):
+        found = [q for _, q in calls]
+        print(
+            f"dirichlet k={k}  calls {len(calls)}  call ms p50/p90/max "
+            f"{quantiles([1e3 * t for t, _ in calls])}  "
+            f"q p50/max {statistics.median(found):.4g} / {max(found)}"
+        )
     for k, calls in sorted(lp_by_k.items()):
         print(
             f"lp k={k}     calls {len(calls)}  call ms p50/p90/max "

@@ -66,12 +66,15 @@ class ImageReport:
 
 
 def form_image(form: LinearForm, A: FiniteSet) -> ImageReport:
-    """Evaluate the form over all ordered tuples of A and group by value; each
-    distinct key is decoded once, and FiniteSet orders the values."""
+    """Evaluate the form over all ordered tuples of A and group by value; the
+    distinct keys are ordered once, by image_order, and each is decoded once
+    (ValueError on a float tie)."""
     keys, scale = form_keys(form, A.elements)
     counts = Counter(keys)
-    values = decode(list(counts), scale, A.basis)
-    return ImageReport(FiniteSet(values), Counter(dict(zip(values, counts.values()))))
+    order = image_order(counts, scale, A.basis)
+    values = decode(order, scale, A.basis)
+    image = FiniteSet._ordered(values, A.basis)
+    return ImageReport(image, Counter(dict(zip(values, map(counts.__getitem__, order)))))
 
 
 def rep_function(form: LinearForm, A: FiniteSet, x) -> int:

@@ -254,6 +254,16 @@ class FiniteSet:
             self.elements = tuple(rats)
             self.basis = None
 
+    @classmethod
+    def _ordered(cls, values: Sequence, basis: BasisDecl | None) -> "FiniteSet":
+        """The set of distinct normalized values already in increasing
+        order, over basis (None for rationals); nothing is re-encoded or
+        re-sorted, so the caller vouches for the order."""
+        self = object.__new__(cls)
+        self.elements = tuple(values)
+        self.basis = basis
+        return self
+
     @property
     def kind(self) -> str:
         return "rational" if self.basis is None else "real"

@@ -107,7 +107,8 @@ def translate_positive(B: FiniteSet) -> FiniteSet:
     lo = B.min()
     if lo >= 1:
         return B
-    return FiniteSet(b + (1 - lo) for b in B)
+    # a translation keeps the order, so the shifted values need no sort
+    return FiniteSet._ordered([b + (1 - lo) for b in B], None)
 
 
 def lattice_embed(A: LatticeSet, form: LinearForm) -> tuple[FiniteSet, EmbeddingParams]:
@@ -180,10 +181,48 @@ def _fill_consecutive(out: np.ndarray, start: int) -> None:
 
 @functools.cache
 def _scan_buffer() -> np.ndarray:
-    """The q-scan's rows q, q*a_i, round(q*a_i) and the max residual: one
-    buffer per process, so two threads must not scan at once. Its pages are
-    touched only as far as the largest block reaches."""
+    """The q-scan's four rows (the q still in the scan, their max residual,
+    and two of scratch, the roles moving between rows as the scan drops q):
+    one buffer per process, so two threads must not scan at once. Its pages
+    are touched only as far as the largest block reaches."""
     return np.empty((4, Q_BLOCK_MAX), dtype=np.float64)
+
+
+def _scan_block(lo: int, hi: int, approx: list, threshold: float):
+    """The q in lo..hi, in increasing order, whose max residual
+    |q*v - rint(q*v)| over the floats v of approx is below threshold, and
+    those maxima: two row prefixes of the scan buffer.
+
+    The first float runs over the whole block; each later one only over the
+    q still below threshold, which are compressed into the buffer's rows
+    first. An infinite threshold keeps every q, nan residuals included.
+    """
+    qs, worst, x, spare = _scan_buffer()
+    m = hi - lo + 1
+    _fill_consecutive(qs[:m], lo)
+    if not approx:
+        worst[:m] = 0.0
+        return qs[:m], worst[:m]
+    first, *rest = approx
+    np.multiply(qs[:m], first, out=worst[:m])
+    worst[:m] -= np.rint(worst[:m], out=x[:m])
+    np.abs(worst[:m], out=worst[:m])
+    for v in rest:
+        if threshold < math.inf:
+            keep = np.flatnonzero(worst[:m] < threshold)
+            if len(keep) < m:
+                m = len(keep)
+                # mode="clip" (keep is in range) writes into out unbuffered
+                np.take(qs, keep, out=x[:m], mode="clip")
+                np.take(worst, keep, out=spare[:m], mode="clip")
+                qs, worst, x, spare = x, spare, qs, worst
+            if m == 0:
+                break
+        np.multiply(qs[:m], v, out=x[:m])
+        x[:m] -= np.rint(x[:m], out=spare[:m])
+        np.abs(x[:m], out=x[:m])
+        np.maximum(worst[:m], x[:m], out=worst[:m])
+    return qs[:m], worst[:m]
 
 
 def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> RealizationResult:
@@ -193,8 +232,14 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
     The scan is the plain increasing one over q, block-vectorized on the
     float approximations: the first block holds Q_BLOCK_MIN values of q and
     each next one twice as many, up to Q_BLOCK_MAX, so a small q is found
-    after a small block. The blocks are slices of one buffer kept for the
-    process, and the residuals are computed in place. A certificate failure
+    after a small block. Within a block each element runs only on the q
+    that no earlier element has ruled out, that is whose residual so far is
+    below max(epsilon, the best max-residual of the earlier blocks); a q
+    dropped there is no candidate and cannot lower that best, so the q found
+    and the best reported are those of the full scan. Integral floats have
+    residual 0 at every q and are skipped, except in a block where some
+    q*a_i overflows, which runs every element on every q. The blocks are
+    rows of one buffer kept for the process. A certificate failure
     (possible only if the float gap estimate lied) halves epsilon and
     resumes the scan after the rejected q.
     """
@@ -212,8 +257,8 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
     elems = A.elements
     try:
         floats = [float(x) for x in image.elements]
-        approx = np.array([float(a) for a in elems], dtype=np.float64)
-        finite = all(map(math.isfinite, floats)) and np.isfinite(approx).all()
+        approx = [float(a) for a in elems]
+        finite = all(map(math.isfinite, floats + approx))
     except (OverflowError, ValueError):  # ValueError: fsum met inf - inf
         finite = False
     if not finite:
@@ -236,30 +281,28 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
         rational_elems = [x.rational_value() for x in elems]
     else:
         rational_elems = None  # genuinely irrational: float residuals only
+    fractional = [v for v in approx if not v.is_integer()]
+    top = max(map(abs, approx))
     best_residual = math.inf
-    buffer = _scan_buffer()
     block = Q_BLOCK_MIN
     q = 0
     while q < q_bound:
         eps_f = float(eps)
         lo = q + 1
         hi = min(q + block, q_bound)
-        qs, x, nearest, worst = buffer[:, : hi - lo + 1]
-        _fill_consecutive(qs, lo)
-        worst.fill(0.0)
-        # a q*a_i past the float range makes inf, then its residual nan
+        # a q*a_i past the float range makes inf, then its residual nan:
+        # such a block keeps every q and reports nan, as the full scan does
+        overflow = math.isinf(hi * top)
         with np.errstate(over="ignore", invalid="ignore"):
-            for v in approx:
-                np.multiply(qs, v, out=x)
-                x -= np.rint(x, out=nearest)
-                np.abs(x, out=x)
-                np.maximum(worst, x, out=worst)
-        lowest = float(worst.min())  # nan if any residual is
-        best_residual = min(best_residual, lowest)
+            if overflow:
+                qs, worst = _scan_block(lo, hi, approx, math.inf)
+            else:
+                qs, worst = _scan_block(lo, hi, fractional, max(eps_f, best_residual))
+        if len(worst):
+            best_residual = min(best_residual, float(worst.min()))  # min(b, nan) is b
         q = hi
         block = min(2 * block, Q_BLOCK_MAX)
-        for cand in np.flatnonzero(worst < eps_f):
-            qc = lo + int(cand)
+        for qc in map(int, qs[worst < eps_f].tolist()):
             if rational_elems is not None:
                 bs = [round(qc * Fraction(a)) for a in rational_elems]
                 thetas = [qc * Fraction(a) - b for a, b in zip(rational_elems, bs)]
@@ -281,7 +324,7 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
                 q = qc
                 break
         else:
-            if not math.isfinite(lowest):  # no finite q of this block answered
+            if overflow:  # no finite q of this block answered
                 raise ApproximationError(
                     f"q * a overflows a float for some q <= {hi}; "
                     "the denominator search needs finite residuals"

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from addcomb import (
     BasisDecl,
     FiniteSet,
     LinearForm,
+    RealElement,
     check_symmetric_equality,
     form_image,
     is_mstd,
@@ -75,6 +78,30 @@ class TestFormImage:
             values = sorted(want, key=float)
             assert list(report.image.elements) == values
             assert [str(x) for x in report.image] == [str(x) for x in values]
+
+    def test_orders_and_counts_as_fresh_exact_work_does(self):
+        # the image is ordered once, on its keys: a FiniteSet built afresh
+        # from its values must agree, and the multiplicities must match a
+        # recount over exact coordinate vectors
+        def coords(x) -> tuple:
+            return x.coords if isinstance(x, RealElement) else (x,)
+
+        rng = random.Random(37)
+        for i in range(120):
+            kind = ("rational", "symbolic-1", "symbolic-2", "symbolic-3")[i % 4]
+            f = random_form(rng)
+            if rng.random() < 0.5:
+                f = LinearForm(tuple(Fraction(c, rng.randint(1, 4)) for c in f.coeffs))
+            A = random_set(rng, kind, 7 if f.arity < 3 else 4)
+            report = form_image(f, A)
+            assert report.image == FiniteSet(list(report.image))
+            vecs = [tuple(map(Fraction, coords(a))) for a in A]
+            dims = range(len(vecs[0]))
+            recount = Counter(
+                tuple(sum(c * vecs[j][d] for c, j in zip(f.coeffs, tup)) for d in dims)
+                for tup in itertools.product(range(len(A)), repeat=f.arity)
+            )
+            assert Counter({coords(x): m for x, m in report.multiplicities.items()}) == recount
 
     def test_multiplicities_sum_to_tuple_count(self):
         rng = random.Random(23)

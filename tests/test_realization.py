@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from addcomb import (
@@ -38,6 +39,33 @@ from helpers import (
     realization_suite,
     suite_results,
 )
+
+#: sets whose q the scan must find: integral and fractional rationals, and
+#: sqrt2 sets with integral and fractional floats; most q lie past the
+#: first block, where the scan drops a q at the first element that rejects it
+_S2 = BASIS_SQRT2.element
+SCAN_CASES = [
+    ([0, 5, Fraction(2, 1031), Fraction(7, 3)], SUM_FORM),
+    ([Fraction(-3, 2), 4, Fraction(5, 2039), Fraction(1, 6)], LinearForm((1, 1, -1))),
+    ([_S2((0, 0)), _S2((0, 1)), _S2((1, 0))], SUM_FORM),
+    (
+        [_S2((-4, 2)), _S2((1, 0)), _S2((1, 3)), _S2((2, 1)), _S2((Fraction(5, 2), 0))],
+        LinearForm((1, 1, -1)),
+    ),
+    (
+        [_S2((Fraction(-4, 3), 3)), _S2((Fraction(-2, 3), 2)), _S2((Fraction(-1, 2), 1)),
+         _S2((2, 1)), _S2((Fraction(5, 2), 2))],
+        SUM_FORM,
+    ),
+]
+
+
+def full_residuals(elements, q_bound: int) -> np.ndarray:
+    """|q*a - rint(q*a)| for q = 1..q_bound (rows) and each element's float
+    (columns): the whole q x k matrix, with no block and no filter."""
+    x = np.outer(np.arange(1, q_bound + 1, dtype=np.float64), [float(a) for a in elements])
+    return np.abs(x - np.rint(x))
+
 
 LP_SUITE_SHA256 = "b9cbed9ea2e63c1b91840f2a0eeb2ce8cb8117f446b25e53ad624dd7bab7a3ec"
 DIRICHLET_SUITE_SHA256 = "06f8e99b98c055def23e10ce4ca0c24328bb6de29e6745c525b108449d552679"
@@ -228,6 +256,39 @@ class TestRealizeDirichlet:
         A = FiniteSet([0, Fraction(1, 97), Fraction(113, 997)])
         with pytest.raises(ApproximationError, match="best max-residual"):
             realize_dirichlet(A, SUM_FORM, q_bound=5)
+
+    @pytest.mark.parametrize("elements, form", SCAN_CASES)
+    def test_q_is_the_full_scan_q(self, elements, form):
+        A = FiniteSet(elements)
+        params = realize_dirichlet(A, form).params
+        worst = full_residuals(A.elements, params.q).max(axis=1)
+        assert params.q == 1 + np.flatnonzero(worst < float(params.epsilon))[0]
+        if A.basis is None:
+            assert params.q == first_close_denominator(elements, params.epsilon)
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            [0, 3, Fraction(1, 2), Fraction(1, 10007), Fraction(372, 10007)],
+            [_S2((0, 0)), _S2((0, 1)), _S2((1, 0)), _S2((Fraction(1, 10007), 0))],
+        ],
+    )
+    def test_exhausted_bound_reports_the_full_scan_best(self, elements):
+        # q_bound = 10000 ends the fourth block (7169..10000), which holds
+        # the best q (9980 and 9990); no q <= 10000 brings 1/10007 within
+        # epsilon of an integer
+        A = FiniteSet(elements)
+        with pytest.raises(ApproximationError) as exc:
+            realize_dirichlet(A, SUM_FORM, q_bound=10_000)
+        best = full_residuals(A.elements, 10_000).max(axis=1).min()
+        assert str(exc.value).endswith(f"(best max-residual seen {best:.3e})")
+
+    def test_an_overflowing_integral_element_still_refuses(self):
+        # 10**308 has residual 0 wherever q * 10**308 is finite, but from
+        # q = 2 on the product overflows, as in the full scan
+        A = FiniteSet([10**308, Fraction(1, 3)])
+        with pytest.raises(ApproximationError, match=r"overflows a float for some q <= 1024;"):
+            realize_dirichlet(A, DIFFERENCE_FORM)
 
     def test_degenerate_float_gap_refused(self):
         # elements order fine, but in the sumset 0+1 ties with x+x at 1.0

@@ -32,6 +32,7 @@ def load_script(name: str):
             "route_times",
             ["--suites", "1", "1"],
             ["seeds [1], 1 suites each", "dirichlet", "lp", "dirichlet  q"]
+            + [f"dirichlet k={k}  calls" for k in range(2, 9)]
             + [f"lp k={k}     calls" for k in range(2, 9)],
         ),
         ("pool_break_even", ["mstd", "8"], ["mstd diameter 8"]),
