@@ -132,27 +132,33 @@ def _first_disagreement(akeys, bkeys, k: int, h: int) -> tuple:
             return _unrank(u, k, h), _unrank(v, k, h)
 
 
-def _coincidences(form: LinearForm, f: SetBijection):
-    """Compare both sides' key partitions through the set of key pairs.
+def _verdict(akeys, bkeys, k: int, h: int):
+    """Compare two key tables in tuple order through the set of key pairs.
 
-    f is a homomorphism exactly when each domain key meets one codomain key,
-    that is when the pairs are as many as the distinct domain keys, and an
-    isomorphism when they are also as many as the distinct codomain keys.
-    Only a failure walks the tuples, to find its witness. Returns the
-    verdict, the map from domain key to codomain key, the two key tables
-    and the two scales that decode needs.
+    The pairing is a homomorphism exactly when each domain key meets one
+    codomain key, that is when the pairs are as many as the distinct domain
+    keys, and an isomorphism when they are also as many as the distinct
+    codomain keys. Only a failure walks the tuples, to find its witness.
+    Returns the verdict and the map from domain key to codomain key.
     """
-    akeys, sa = form_keys(form, f.domain.elements)
-    bkeys, sb = form_keys(form, f.mapped_elements())
     pairs = set(zip(akeys, bkeys))
     # keys in first-seen order, as in form_image, so both name a float tie alike
     forward = dict(zip(akeys, bkeys))
     homomorphism = len(forward) == len(pairs)
     isomorphism = homomorphism and len(set(bkeys)) == len(pairs)
-    witness = None
-    if not isomorphism:
-        witness = _first_disagreement(akeys, bkeys, len(f.domain), form.arity)
-    return IsoVerdict(homomorphism, isomorphism, witness), forward, akeys, bkeys, (sa, sb)
+    witness = None if isomorphism else _first_disagreement(akeys, bkeys, k, h)
+    return IsoVerdict(homomorphism, isomorphism, witness), forward
+
+
+def _coincidences(form: LinearForm, f: SetBijection):
+    """Both sides' key tables and their _verdict. Returns the verdict, the
+    map from domain key to codomain key, the two key tables and the two
+    scales that decode needs.
+    """
+    akeys, sa = form_keys(form, f.domain.elements)
+    bkeys, sb = form_keys(form, f.mapped_elements())
+    verdict, forward = _verdict(akeys, bkeys, len(f.domain), form.arity)
+    return verdict, forward, akeys, bkeys, (sa, sb)
 
 
 def is_phi_isomorphism(form: LinearForm, f: SetBijection) -> IsoVerdict:

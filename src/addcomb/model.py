@@ -382,12 +382,14 @@ def all_sign_flips(form: LinearForm):
 def clear_denominators(form: LinearForm) -> tuple[LinearForm, int]:
     """Scale a form by the least positive common denominator multiple.
 
-    Returns (integral form, multiplier m). Scaling by a positive rational
-    never changes which tuple pairs share a value.
+    Returns (integral form, multiplier m), the form itself when it is
+    integral. Scaling by a positive rational never changes which tuple
+    pairs share a value.
     """
-    m = math.lcm(*(Fraction(c).denominator for c in form.coeffs))
-    if m == 1 and form.is_integral():
+    if form.is_integral():
         return form, 1
+    # coefficients are ints and Fractions, as_rational's normal forms
+    m = math.lcm(*(c.denominator for c in form.coeffs))
     return LinearForm(tuple(as_rational(m * c) for c in form.coeffs)), m
 
 

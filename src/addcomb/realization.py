@@ -10,8 +10,10 @@ Three independent routes produce the integer set:
                 constraint system, solved by phase-1 simplex.
 
 Every route ends the same way: an exhaustive exact verification that the
-element pairing preserves coincidences (the certificate). The float work in
-the dirichlet route can only cause retries, never a wrong accepted answer.
+element pairing preserves coincidences (the certificate). Each route has
+already computed the exact integer keys of the form's values over A, once,
+and the certificate compares those with B's. The float work in the
+dirichlet route can only cause retries, never a wrong accepted answer.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ApproximationError, BudgetExceededError, CertificateError
-from .images import form_image, form_keys, image_order
-from .isomorphism import IsoVerdict, SetBijection, is_phi_isomorphism
+# form_image and is_phi_isomorphism stay module attributes: perfbench/spans.py wraps them here
+from .images import form_image, form_keys, image_order  # noqa: F401
+from .isomorphism import IsoVerdict, SetBijection, _verdict, is_phi_isomorphism  # noqa: F401
 from .model import FiniteSet, LinearForm, clear_denominators, integer_columns
 from .simplex import feasible_point
 
@@ -137,8 +140,12 @@ def _base_encode(A: LatticeSet, form: LinearForm) -> tuple[list, EmbeddingParams
     return values, EmbeddingParams(a_star, phi_star, h, lam)
 
 
-def _finish(A: FiniteSet, form: LinearForm, raw_values: list, method: str, params) -> RealizationResult:
-    """Translate positive, build the pairing, and verify it exhaustively."""
+def _finish(
+    A: FiniteSet, form: LinearForm, akeys: list, raw_values: list, method: str, params
+) -> RealizationResult:
+    """Translate positive, build the pairing, and verify it exhaustively:
+    the route's keys of A (images.form_keys) against B's, by the comparison
+    is_phi_isomorphism makes."""
     raw = FiniteSet(raw_values)
     if len(raw) != len(raw_values):
         raise CertificateError(f"{method} produced colliding images")
@@ -146,7 +153,8 @@ def _finish(A: FiniteSet, form: LinearForm, raw_values: list, method: str, param
     rank = {v: i for i, v in enumerate(raw)}
     B = translate_positive(raw)
     mapping = SetBijection(A, B, tuple(rank[v] for v in raw_values))
-    certificate = is_phi_isomorphism(form, mapping)
+    bkeys, _ = form_keys(form, mapping.mapped_elements())
+    certificate, _ = _verdict(akeys, bkeys, len(A), form.arity)
     if not certificate.is_isomorphism:
         raise CertificateError(
             f"{method} certificate failed at witness {certificate.witness}"
@@ -164,7 +172,8 @@ def realize_group(A: FiniteSet, form: LinearForm) -> RealizationResult:
     lattice = LatticeSet(len(columns), list(zip(*columns)))
     iform, _ = clear_denominators(form)
     raw, params = _base_encode(lattice, iform)
-    return _finish(A, form, raw, "group", params)
+    keys, _ = form_keys(iform, A.elements)
+    return _finish(A, form, keys, raw, "group", params)
 
 
 def _fill_consecutive(out: np.ndarray, start: int) -> None:
@@ -225,6 +234,17 @@ def _scan_block(lo: int, hi: int, approx: list, threshold: float):
     return qs[:m], worst[:m]
 
 
+def _key_floats(keys, scale: int, basis) -> list:
+    """The float of the value behind each integer key, bit for bit the
+    float of its decoded value: n / scale, correctly rounded as
+    float(Fraction) is, for rationals and dimension-1 keys, and otherwise
+    the fsum of n / scale times each basis approximation, as
+    float(RealElement) takes it."""
+    if basis is None or basis.dimension == 1:
+        return [n / scale for n in keys]
+    return [math.fsum(n / scale * a for n, a in zip(key, basis.approx)) for key in keys]
+
+
 def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> RealizationResult:
     """Find q with every q*a_i within epsilon of an integer b_i, epsilon
     chosen so integer-side coincidences match exact-side ones.
@@ -239,24 +259,26 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
     and the best reported are those of the full scan. Integral floats have
     residual 0 at every q and are skipped, except in a block where some
     q*a_i overflows, which runs every element on every q. The blocks are
-    rows of one buffer kept for the process. A certificate failure
-    (possible only if the float gap estimate lied) halves epsilon and
-    resumes the scan after the rejected q.
+    rows of one buffer kept for the process. The float gap is read from A's
+    form keys, ordered once, and the certificate reuses those keys. A
+    certificate failure (possible only if the float gap estimate lied)
+    halves epsilon and resumes the scan after the rejected q.
     """
     k = len(A)
     iform, _ = clear_denominators(form)
+    keys, scale = form_keys(iform, A.elements)
     if k == 1:
-        return _finish(A, form, [1], "dirichlet", None)
+        return _finish(A, form, keys, [1], "dirichlet", None)
 
     h = iform.arity
     phi_star = int(iform.max_abs_coeff())
     try:
-        image = form_image(iform, A).image
+        order = image_order(dict.fromkeys(keys), scale, A.basis)
     except ValueError as exc:
         raise ApproximationError(f"cannot order the form image: {exc}") from None
     elems = A.elements
     try:
-        floats = [float(x) for x in image.elements]
+        floats = _key_floats(order, scale, A.basis)
         approx = [float(a) for a in elems]
         finite = all(map(math.isfinite, floats + approx))
     except (OverflowError, ValueError):  # ValueError: fsum met inf - inf
@@ -317,7 +339,7 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
                 delta_star, eps, qc, tuple(float(t) for t in thetas)
             )
             try:
-                return _finish(A, form, bs, "dirichlet", params)
+                return _finish(A, form, keys, bs, "dirichlet", params)
             except CertificateError:
                 # float delta* overestimated the safe gap; tighten and resume
                 eps = eps / 2
@@ -388,7 +410,7 @@ def realize_lp(A: FiniteSet, form: LinearForm) -> RealizationResult:
     raw = [x.numerator * (m // x.denominator) for x in t]
     _check_class_structure(classes, raw)
     params = LpParams(sum(map(len, classes)), stats.equations, stats.inequalities, stats.pivots)
-    return _finish(A, form, raw, "lp", params)
+    return _finish(A, form, keys, raw, "lp", params)
 
 
 def _check_class_structure(classes, raw) -> None:

@@ -9,20 +9,21 @@ in the free columns alone; a phase-1 simplex with Bland's rule decides its
 feasibility, and each pivot column is read back from its equation row.
 
 Each step holds its tableau in one 2-D numpy integer array, and both run
-on one fraction-free pivot (Bareiss 1968, rows divided by their gcd) that
-makes the pivots of the rational tableau; floats never appear. The array
-is int64 while every entry is below 2^31 in magnitude, so that p*a - f*b
-cannot reach 2^63, where int64 would wrap without a word. The bound is
-checked on the input rows, on the phase-1 objective row (a sum of rows,
-which can pass it while no row does) and after every pivot, where a bound
-on the old entries proves it or the new ones are read. An array that
+on one fraction-free pivot (Edmonds 1967, Bareiss 1968): each row but the
+pivot row becomes (p*row - f*prow) / d, d the previous pivot, a division
+that is exact. Every row is then d times its row in the rational tableau,
+so the pivots are those of the rational tableau, and floats never appear.
+The array is int64 while every entry is below 2^31 in magnitude, so that
+p*a - f*b cannot reach 2^63, where int64 would wrap without a word. The
+bound is checked on the input rows, on the phase-1 objective row (a sum of
+rows, which can pass it while no row does) and after every pivot, where a
+bound on the old entries proves it or the new ones are read. An array that
 reaches it becomes dtype=object and does the same operations on Python
 ints from then on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,26 +63,25 @@ def _array(rows):
     return np.array(rows, dtype=object), None
 
 
-def _pivot(T: np.ndarray, r: int, c: int, top):
+def _pivot(T: np.ndarray, r: int, c: int, d: int, top):
     """Clear column c from every row but T[r], whose entry p there is > 0.
 
-    Each other row becomes (p*row - f*prow) / gcd, with f its entry in
-    column c, a positive multiple of the row that rational elimination
-    would produce (a row with f = 0 only loses its gcd). top bounds the
-    magnitude of T's entries, None over Python ints. Returns the new
-    tableau and its bound; the tableau is over Python ints once an entry
-    reaches INT64_BOUND.
+    Each other row becomes (p*row - f*prow) / d, with f its entry in column
+    c and d > 0 the previous pivot (1 before the first). The division is
+    exact, and every row stays d times its row in the rational tableau, p
+    times once this pivot is made. top bounds the magnitude of T's entries,
+    None over Python ints. Returns the new tableau and its bound; the
+    tableau is over Python ints once an entry reaches INT64_BOUND.
     """
     new = T * T[r, c]
     new -= T[:, c, None] * T[r]
-    g = np.gcd.reduce(new, axis=1)
-    np.maximum(g, 1, out=g)  # rows that are all zero, row r among them
-    new //= g[:, None]
+    if d != 1:
+        new //= d
     new[r] = T[r]
     if top is None:
         return new, None
-    # |p*a - f*b| <= 2 top^2, which the gcd only divides: while that is
-    # below the bound no entry needs reading
+    # |p*a - f*b| <= 2 top^2, which the division only shrinks: while that
+    # is below the bound no entry needs reading
     top = 2 * top * top
     if top < INT64_BOUND:
         return new, top
@@ -125,6 +125,7 @@ def _phase1(G: list, nfree: int, stats: SimplexStats):
     if top is None:
         T = _tableau(G, nfree, object)
     basis = list(range(ncols, ncols + m))  # artificial labels
+    d = 1  # the implicit artificial basis is the identity
     while True:
         objective = T[m, :ncols].tolist()
         enter = next((j for j, x in enumerate(objective) if x > 0), None)
@@ -138,11 +139,12 @@ def _phase1(G: list, nfree: int, stats: SimplexStats):
         leave = cands[0]
         for i in cands[1:]:
             # rhs_i / a_i against rhs_leave / a_leave, cross-multiplied
-            d = rhs[i] * col[leave] - rhs[leave] * col[i]
-            if d < 0 or (d == 0 and basis[i] < basis[leave]):
+            cross = rhs[i] * col[leave] - rhs[leave] * col[i]
+            if cross < 0 or (cross == 0 and basis[i] < basis[leave]):
                 leave = i
         stats.pivots += 1
-        T, top = _pivot(T, leave, enter, top)
+        T, top = _pivot(T, leave, enter, d, top)
+        d = col[leave]
         basis[leave] = enter
     rows = T.tolist()
     if rows[m][-1]:
@@ -166,7 +168,7 @@ def feasible_point(equations, inequalities, nvars: int):
     if not inequalities:
         return [Fraction(0)] * nvars, stats
     neq = len(equations)
-    piv_cols, rows = [], []
+    piv_cols, rows, d = [], [], 1
     if neq:
         # equation rows [e | 0] above inequality rows [g | 1], rhs last
         T, top = _array([[*e, 0] for e in equations] + [[*g, 1] for g in inequalities])
@@ -181,20 +183,20 @@ def feasible_point(equations, inequalities, nvars: int):
                 T[[r, r + nz[0]]] = T[[r + nz[0], r]]
             if T[r, c] < 0:
                 T[r] *= -1
-            T, top = _pivot(T, r, c, top)
+            T, top = _pivot(T, r, c, d, top)
+            d = int(T[r, c])
             piv_cols.append(c)
-        rows = T.tolist()
     free = [c for c in range(nvars) if c not in piv_cols]
-    if rows:
-        # each inequality row is now lam_i * (g'_i | 1), lam_i > 0, zero in
-        # the pivot columns. Brought to one common rhs, all rows share one
-        # positive factor, which Bland's rule and the ratio test ignore; a
-        # factor per row would change the phase-1 objective row (the sum of
-        # the rows) and the pivots
-        scale = math.lcm(*(row[-1] for row in rows[neq:]))
-        reduced = [tuple(scale // row[-1] * row[c] for c in free) for row in rows[neq:]]
+    if piv_cols:
+        # each inequality row is now d * (g'_i | 1), zero in the pivot
+        # columns: one common rhs d, so all rows share one positive factor,
+        # which Bland's rule and the ratio test ignore (a factor per row
+        # would change the phase-1 objective row, the sum of the rows, and
+        # the pivots). Each equation row is d in its pivot column.
+        rows = T[:neq].tolist()
+        reduced = T[neq:, free].tolist()
     else:
-        scale, reduced = 1, inequalities
+        reduced = inequalities
     if not all(map(any, reduced)):
         return None, stats  # 0 >= 1: equations force this constraint empty
     z = _phase1(list(dict.fromkeys(map(tuple, reduced))), len(free), stats)
@@ -202,7 +204,7 @@ def feasible_point(equations, inequalities, nvars: int):
         return None, stats
     t = [Fraction(0)] * nvars
     for c, (num, den) in zip(free, z):
-        t[c] = Fraction(scale * num, den)
+        t[c] = Fraction(d * num, den)
     for row, pc in zip(rows, piv_cols):
-        t[pc] = -sum((row[c] * t[c] for c in free if row[c]), Fraction(0)) / row[pc]
+        t[pc] = -sum((row[c] * t[c] for c in free if row[c]), Fraction(0)) / d
     return t, stats

@@ -293,6 +293,18 @@ class TestClearDenominators:
         g, m = clear_denominators(f)
         assert m == 1 and g == f
 
+    def test_integral_form_is_returned_as_is(self):
+        for coeffs in [(1, -1), (2, 3), (1, 1, -1), (Fraction(4, 2), -7)]:
+            f = LinearForm(coeffs)
+            g, m = clear_denominators(f)
+            assert g is f and m == 1
+
+    def test_mixed_form_clears_to_the_least_multiple(self):
+        g, m = clear_denominators(LinearForm((Fraction(1, 2), Fraction(1, 3))))
+        assert (g.coeffs, m) == ((3, 2), 6)
+        g, m = clear_denominators(LinearForm((3, Fraction(-5, 6), Fraction(1, 4))))
+        assert (g.coeffs, m) == ((36, -10, 3), 12)
+
     def test_quarters(self):
         g, m = clear_denominators(LinearForm((Fraction(1, 4), Fraction(1, 4))))
         assert m == 4

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,12 @@ from addcomb import (
     LinearForm,
     SUM_FORM,
     DIFFERENCE_FORM,
+    SetBijection,
     all_sign_flips,
     check_signed_transfer,
+    clear_denominators,
     form_image,
+    images,
     is_mstd,
     is_phi_isomorphism,
     lattice_embed,
@@ -32,6 +36,7 @@ from addcomb import (
 )
 from helpers import (
     BASIS_SQRT2,
+    REALIZATION_FORMS,
     SET_KINDS,
     first_close_denominator,
     random_form,
@@ -235,11 +240,11 @@ class TestRealizeDirichlet:
         assert first.q == first_close_denominator(elements, first.epsilon)
         finish, rejected = realization._finish, []
 
-        def fail_once(A, form, raw, method, params):
+        def fail_once(A, form, akeys, raw, method, params):
             if not rejected:
                 rejected.append(params.q)
                 raise CertificateError("rejected for the test")
-            return finish(A, form, raw, method, params)
+            return finish(A, form, akeys, raw, method, params)
 
         monkeypatch.setattr(realization, "_finish", fail_once)
         params = realize_dirichlet(A, form).params
@@ -289,6 +294,39 @@ class TestRealizeDirichlet:
         A = FiniteSet([10**308, Fraction(1, 3)])
         with pytest.raises(ApproximationError, match=r"overflows a float for some q <= 1024;"):
             realize_dirichlet(A, DIFFERENCE_FORM)
+
+    @pytest.mark.parametrize("kind", ["suite", "symbolic-2", "wide"])
+    def test_gap_floats_are_the_decoded_floats(self, kind):
+        # n / scale and its fsum over the basis round as float() of the
+        # decoded value does, so the gap and the q do not move
+        if kind == "suite":
+            sets = realization_suite()
+        elif kind == "symbolic-2":
+            rng = random.Random(23)
+            sets = [random_set(rng, "symbolic-2", 8) for _ in range(30)]
+        else:
+            # numerators past 2^53 and denominators that no float holds
+            sets = [
+                FiniteSet([Fraction(10**20 + 1, 3), Fraction(-(10**17), 7), Fraction(1, 11)]),
+                FiniteSet([
+                    _S2((Fraction(2**60 + 1, 3), Fraction(1, 7))),
+                    _S2((0, Fraction(5, 9))),
+                    _S2((Fraction(-1, 13), Fraction(10**18, 17))),
+                ]),
+            ]
+        for A in sets:
+            for form in REALIZATION_FORMS + (LinearForm((Fraction(1, 3), Fraction(-2, 5))),):
+                iform, _ = clear_denominators(form)
+                keys, scale = images.form_keys(iform, A.elements)
+                order = images.image_order(dict.fromkeys(keys), scale, A.basis)
+                got = realization._key_floats(order, scale, A.basis)
+                want = [float(x) for x in form_image(iform, A).image]
+                assert [x.hex() for x in got] == [x.hex() for x in want], (A, form)
+
+    def test_a_form_value_past_the_float_range_refuses(self):
+        A = FiniteSet([0, 10**309])
+        with pytest.raises(ApproximationError, match="too large for a float"):
+            realize_dirichlet(A, SUM_FORM)
 
     def test_degenerate_float_gap_refused(self):
         # elements order fine, but in the sumset 0+1 ties with x+x at 1.0
@@ -351,6 +389,68 @@ class TestRealizationInvariants:
             va, vb = is_mstd(A), is_mstd(r.B)
             assert (va.sum_count, va.diff_count) == (vb.sum_count, vb.diff_count)
             assert va.is_mstd == vb.is_mstd
+
+
+class TestCertificate:
+    """_finish certifies from the route's own keys of A; is_phi_isomorphism,
+    which builds both key tables itself, is the oracle."""
+
+    def test_every_route_gives_the_oracle_verdict(self):
+        records = suite_results()[0]
+        assert {method for _, _, method, _ in records} == {"group", "dirichlet", "lp"}
+        for A, form, method, r in records:
+            assert r.certificate == is_phi_isomorphism(form, r.mapping), (A, form, method)
+
+    @pytest.mark.parametrize(
+        "elements, form, raw",
+        [
+            ([0, 1, 3], SUM_FORM, [0, 1, 2]),  # 0 + 2 = 1 + 1 has no match in A
+            ([0, 1, 3], SUM_FORM, [5, -1, 2]),  # a pairing that is not by order
+            ([0, 2, 3, 7], DIFFERENCE_FORM, [1, 2, 3, 4]),
+            ([Fraction(1, 2), 2, Fraction(7, 3)], LinearForm((Fraction(1, 2), 1, -1)), [3, 1, 2]),
+            ([_S2((0, 0)), _S2((0, 1)), _S2((1, 0))], SUM_FORM, [0, 2, 1]),
+        ],
+    )
+    def test_a_non_isomorphic_raw_raises_the_oracle_witness(self, elements, form, raw):
+        A = FiniteSet(elements)
+        keys, _ = images.form_keys(form, A.elements)
+        B = translate_positive(FiniteSet(raw))
+        shift = B.min() - min(raw)
+        mapping = SetBijection.from_function(A, B, lambda a: raw[A.elements.index(a)] + shift)
+        expected = is_phi_isomorphism(form, mapping)
+        assert not expected.is_isomorphism
+        with pytest.raises(CertificateError, match=re.escape(f"at witness {expected.witness}")):
+            realization._finish(A, form, keys, raw, "test", None)
+
+    @pytest.mark.parametrize("route", ["dirichlet", "lp"])
+    def test_one_value_table_per_column_of_a_and_of_b(self, monkeypatch, route):
+        # A has one integer column per basis coordinate, B one column
+        calls = []
+        value_table = images.value_table
+
+        def spy(form, elements):
+            calls.append(len(elements))
+            return value_table(form, elements)
+
+        monkeypatch.setattr(images, "value_table", spy)
+        for A in realization_suite()[:9]:
+            for form in REALIZATION_FORMS:
+                calls.clear()
+                realize(A, form, route)
+                columns = 1 if A.basis is None else A.basis.dimension
+                assert calls == [len(A)] * (columns + 1), (A, form)
+
+    def test_dirichlet_calls_no_form_image(self, monkeypatch):
+        cases = [(A, form) for A in realization_suite()[:9] for form in REALIZATION_FORMS]
+        cases += [(FiniteSet(els), form) for els, form in SCAN_CASES]
+        expected = [realize_dirichlet(A, form) for A, form in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("form_image called")
+
+        monkeypatch.setattr(realization, "form_image", refuse)
+        monkeypatch.setattr(images, "form_image", refuse)
+        assert [realize_dirichlet(A, form) for A, form in cases] == expected
 
 
 def _route_digest(route: str) -> str:
