@@ -5,11 +5,13 @@
 
 For each seed it builds the certify workload's inputs from
 ``random.Random(seed)``, as ``perfbench/run.py --workload certify`` does,
-and runs the first --ops (default 240) of them in one process: the group
-route, the induced map, and for integer sets ``is_mstd`` and the MPTQ
+and runs the first --ops (default 240) of them in one process, each with
+the steps of the workload's op: the group route (``realize``), the induced
+map (``induced_bijection``), and for integer sets ``is_mstd`` and the MPTQ
 mirror. It prints, per set kind (integer, rational, symbolic) and form
-arity, the number of ops, their total seconds and the p50 / p90 of the op
-time, then one line with the number and total seconds of all ops.
+arity, the number of ops, their total seconds, the part of it in
+``realize`` and in ``induced_bijection``, and the p50 / p90 of the op time,
+then one line with the same totals over all ops.
 """
 
 import argparse
@@ -21,7 +23,27 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from addcomb import images, isomorphism, mptq, realization  # noqa: E402
 from perfbench.workloads import Certify, certify_schedule  # noqa: E402
+
+
+def time_op(op) -> tuple[float, float, float]:
+    """Seconds of one certify op, of its realize and of its induced map."""
+    A, form, base = op
+    t0 = time.perf_counter()
+    r = realization.realize(A, form, "group")
+    t1 = time.perf_counter()
+    isomorphism.induced_bijection(form, r.mapping)
+    t2 = time.perf_counter()
+    if base is not None:
+        images.is_mstd(A)
+        mptq.product_quotient_counts(mptq.exp_transport(A, base))
+    return time.perf_counter() - t0, t1 - t0, t2 - t1
+
+
+def totals(times: list) -> str:
+    op, realize, induced = (sum(column) for column in zip(*times))
+    return f"total {op:.3f} s  realize {realize:.3f} s  induced {induced:.3f} s"
 
 
 def main(argv) -> None:
@@ -35,20 +57,18 @@ def main(argv) -> None:
         workload = Certify(seed)
         for i, op in enumerate(workload.ops[: args.ops]):
             kind, coeffs, _ = certify_schedule(i)
-            t0 = time.perf_counter()
-            workload.run(op)
-            seconds[kind, len(coeffs)].append(time.perf_counter() - t0)
+            seconds[kind, len(coeffs)].append(time_op(op))
     print(f"seeds {args.seeds}, {args.ops} ops each")
     for (kind, h), times in sorted(seconds.items()):
-        ms = [1e3 * t for t in times]
+        ms = [1e3 * t for t, _, _ in times]
         # a lone op is its own p50 and p90; quantiles needs two
         deciles = statistics.quantiles(ms, n=10, method="inclusive") if len(ms) > 1 else ms * 9
         print(
-            f"{kind:8}  h={h}  ops {len(ms):4}  total {sum(times):.3f} s  "
+            f"{kind:8}  h={h}  ops {len(ms):4}  {totals(times)}  "
             f"op ms p50/p90 {deciles[4]:.3g} / {deciles[8]:.3g}"
         )
     every = [t for times in seconds.values() for t in times]
-    print(f"{'all':8}       ops {len(every):4}  total {sum(every):.3f} s")
+    print(f"{'all':8}       ops {len(every):4}  {totals(every)}")
 
 
 if __name__ == "__main__":

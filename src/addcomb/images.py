@@ -29,12 +29,13 @@ from .model import (
 )
 
 
-def form_keys(form: LinearForm, elements) -> tuple[list, int]:
+def form_keys(form: LinearForm, elements, cleared=None) -> tuple[list, int]:
     """Exact integer keys of the form's values over all ordered tuples of the
     elements, in tuple order, and their scale m * the form's multiplier (both
-    positive): int keys for one integer column, int tuples for several."""
+    positive): int keys for one integer column, int tuples for several.
+    cleared is integer_columns(elements), when the caller already has it."""
     iform, mult = clear_denominators(form)
-    columns, m = integer_columns(elements)
+    columns, m = integer_columns(elements) if cleared is None else cleared
     tables = [value_table(iform, col) for col in columns]
     keys = tables[0] if len(tables) == 1 else list(zip(*tables))
     return keys, m * mult

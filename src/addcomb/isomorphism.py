@@ -21,7 +21,7 @@ left are the identity and the reversal.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CertificateError
@@ -51,6 +51,10 @@ class SetBijection:
     domain: FiniteSet
     codomain: FiniteSet
     perm: tuple
+    #: (form, then what _coincidences returns for it) when the pairing comes
+    #: out of a certificate (realization._finish), so _coincidences does not
+    #: redo it; no part of the pairing's value, so ==, hash and repr skip it
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.domain)
@@ -153,8 +157,12 @@ def _verdict(akeys, bkeys, k: int, h: int):
 def _coincidences(form: LinearForm, f: SetBijection):
     """Both sides' key tables and their _verdict. Returns the verdict, the
     map from domain key to codomain key, the two key tables and the two
-    scales that decode needs.
+    scales that decode needs: the ones f carries from its certificate when
+    form is the certified form, else computed.
     """
+    tables = f._tables
+    if tables is not None and tables[0] == form:
+        return tables[1:]
     akeys, sa = form_keys(form, f.domain.elements)
     bkeys, sb = form_keys(form, f.mapped_elements())
     verdict, forward = _verdict(akeys, bkeys, len(f.domain), form.arity)
@@ -192,27 +200,28 @@ class InducedMap:
 def induced_bijection(form: LinearForm, f: SetBijection) -> InducedMap:
     """Build the induced value map and verify multiplicities transfer.
 
-    Multiplicities are counted over the keys; images.image_order puts the
-    domain's distinct keys in value order, and each side's keys are decoded
-    once, in that order.
+    The key tables and verdict are the certificate's when f carries them
+    (see _coincidences). Multiplicities are counted over the keys and
+    compared in one pass; images.image_order puts the domain's distinct keys
+    in value order, and each side's keys are decoded once, in that order.
     """
     verdict, forward, akeys, bkeys, (sa, sb) = _coincidences(form, f)
     if not verdict.is_isomorphism:
         raise ValueError(f"bijection is not an isomorphism (witness {verdict.witness})")
     xkeys = image_order(forward, sa, f.domain.basis)
-    ykeys = [forward[key] for key in xkeys]
+    ykeys = list(map(forward.__getitem__, xkeys))
     xs = decode(xkeys, sa, f.domain.basis)
     ys = decode(ykeys, sb, f.codomain.basis)
     ma, mb = Counter(akeys), Counter(bkeys)
-    pairs = []
-    for xkey, ykey, x, y in zip(xkeys, ykeys, xs, ys):
-        mx, my = ma[xkey], mb[ykey]
-        if mx != my:
-            raise CertificateError(f"multiplicity mismatch at {x} -> {y}: {mx} != {my}")
-        pairs.append((x, y, mx))
-    if len(set(ykeys)) != len(pairs):
+    mxs = list(map(ma.__getitem__, xkeys))
+    mys = list(map(mb.__getitem__, ykeys))
+    if mxs != mys:
+        for x, y, mx, my in zip(xs, ys, mxs, mys):
+            if mx != my:
+                raise CertificateError(f"multiplicity mismatch at {x} -> {y}: {mx} != {my}")
+    if len(set(ykeys)) != len(xkeys):
         raise CertificateError("induced map is not injective")
-    return InducedMap(tuple(pairs))
+    return InducedMap(tuple(zip(xs, ys, mxs)))
 
 
 def check_signed_transfer(form: LinearForm, flip, f: SetBijection) -> bool:

@@ -189,12 +189,22 @@ def _exact(n: int, scale: int):
 
 def decode(keys, scale: int, basis) -> list:
     """The exact values behind integer keys: each coordinate over scale, as
-    rationals (basis None) or RealElements over the basis."""
+    rationals (basis None) or RealElements over the basis. Keys over a basis
+    are tuples of basis.dimension ints (ints for dimension 1); each distinct
+    coordinate is divided by scale once."""
     if basis is None:
         return keys if scale == 1 else [_exact(n, scale) for n in keys]
-    if basis.dimension == 1:
-        keys = [(n,) for n in keys]
-    return [RealElement(basis, tuple(_exact(n, scale) for n in key)) for key in keys]
+    columns = [keys] if basis.dimension == 1 else list(zip(*keys))
+    if scale != 1:
+        exact = {n: _exact(n, scale) for n in set().union(*columns)}
+        columns = [map(exact.__getitem__, col) for col in columns]
+    values = [object.__new__(RealElement) for _ in keys]
+    # every key has basis.dimension coordinates: nothing for __post_init__ to check
+    for x, coords in zip(values, zip(*columns)):
+        fields = x.__dict__
+        fields["basis"] = basis
+        fields["coords"] = coords
+    return values
 
 
 def key_order(keys, scale: int, basis: BasisDecl) -> list[int]:

@@ -12,8 +12,10 @@ Three independent routes produce the integer set:
 Every route ends the same way: an exhaustive exact verification that the
 element pairing preserves coincidences (the certificate). Each route has
 already computed the exact integer keys of the form's values over A, once,
-and the certificate compares those with B's. The float work in the
-dirichlet route can only cause retries, never a wrong accepted answer.
+and the certificate compares those with B's; the pairing it returns carries
+both tables and the verdict, so the induced map redoes none of it. The
+float work in the dirichlet route can only cause retries, never a wrong
+accepted answer.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -41,33 +44,6 @@ PAIR_BUDGET = 10**6
 #: twice as many, up to Q_BLOCK_MAX
 Q_BLOCK_MIN = 1 << 10
 Q_BLOCK_MAX = 1 << 18
-
-
-def _exact_int(x) -> int:
-    if isinstance(x, int):
-        return x
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ValueError(f"lattice coordinate {x} is not an integer")
-    return int(f)
-
-
-@dataclass(frozen=True)
-class LatticeSet:
-    """A finite set of distinct integer vectors in Z^d."""
-
-    dimension: int
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple(tuple(_exact_int(x) for x in p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        if not pts:
-            raise ValueError("lattice set must be nonempty")
-        if any(len(p) != self.dimension for p in pts):
-            raise ValueError("point dimension mismatch")
-        if len(set(pts)) != len(pts):
-            raise ValueError("lattice points must be distinct")
 
 
 @dataclass(frozen=True)
@@ -114,38 +90,41 @@ def translate_positive(B: FiniteSet) -> FiniteSet:
     return FiniteSet._ordered([b + (1 - lo) for b in B], None)
 
 
-def lattice_embed(A: LatticeSet, form: LinearForm) -> tuple[FiniteSet, EmbeddingParams]:
-    """Encode lattice points injectively into Z by digits in base lambda.
+def _base_encode(columns: list, form: LinearForm) -> tuple[list, EmbeddingParams]:
+    """Encode integer points injectively into Z by digits in base lambda:
+    the points are given as columns, one per coordinate, and the integers
+    come back one per point, in point order.
 
     lambda is the smallest integer strictly above 2 * a* * phi* * h + 1,
     which makes the per-coordinate carry terms too small to create or
     destroy any coincidence of the form.
     """
-    values, params = _base_encode(A, form)
-    return FiniteSet(values), params
-
-
-def _base_encode(A: LatticeSet, form: LinearForm) -> tuple[list, EmbeddingParams]:
-    """lattice_embed's integers, one per point in point order."""
     if not form.is_integral():
         raise ValueError("clear the form's denominators before lattice embedding")
-    a_star = max(abs(x) for p in A.points for x in p)
+    a_star = max(abs(x) for col in columns for x in col)
     phi_star = int(form.max_abs_coeff())
     h = form.arity
     lam = 2 * a_star * phi_star * h + 2
-    powers = [lam**i for i in range(A.dimension)]
-    values = [sum(x * w for x, w in zip(p, powers)) for p in A.points]
+    powers = [lam**i for i in range(len(columns))]
+    values = [sum(map(mul, p, powers)) for p in zip(*columns)]
     if len(set(values)) != len(values):
         raise CertificateError("base encoding collided; lambda bound violated")
     return values, EmbeddingParams(a_star, phi_star, h, lam)
 
 
 def _finish(
-    A: FiniteSet, form: LinearForm, akeys: list, raw_values: list, method: str, params
+    A: FiniteSet,
+    form: LinearForm,
+    akeys: list,
+    scale: int,
+    raw_values: list,
+    method: str,
+    params,
 ) -> RealizationResult:
     """Translate positive, build the pairing, and verify it exhaustively:
-    the route's keys of A (images.form_keys) against B's, by the comparison
-    is_phi_isomorphism makes."""
+    the route's keys of A and their scale, as images.form_keys(form, A)
+    gives them, against B's, by the comparison is_phi_isomorphism makes.
+    The pairing carries both tables and the verdict, for the induced map."""
     raw = FiniteSet(raw_values)
     if len(raw) != len(raw_values):
         raise CertificateError(f"{method} produced colliding images")
@@ -153,12 +132,14 @@ def _finish(
     rank = {v: i for i, v in enumerate(raw)}
     B = translate_positive(raw)
     mapping = SetBijection(A, B, tuple(rank[v] for v in raw_values))
-    bkeys, _ = form_keys(form, mapping.mapped_elements())
-    certificate, _ = _verdict(akeys, bkeys, len(A), form.arity)
+    bkeys, bscale = form_keys(form, mapping.mapped_elements())
+    certificate, forward = _verdict(akeys, bkeys, len(A), form.arity)
     if not certificate.is_isomorphism:
         raise CertificateError(
             f"{method} certificate failed at witness {certificate.witness}"
         )
+    tables = (form, certificate, forward, akeys, bkeys, (scale, bscale))
+    object.__setattr__(mapping, "_tables", tables)
     return RealizationResult(B, method, certificate, mapping, params)
 
 
@@ -167,13 +148,13 @@ def realize_group(A: FiniteSet, form: LinearForm) -> RealizationResult:
 
     Scaling by a positive integer and the coordinate map itself both
     preserve coincidences exactly, so only the embedding needs a certificate.
+    A's denominators are cleared once, for the embedding and for its keys.
     """
-    columns, _ = integer_columns(A.elements)
-    lattice = LatticeSet(len(columns), list(zip(*columns)))
-    iform, _ = clear_denominators(form)
-    raw, params = _base_encode(lattice, iform)
-    keys, _ = form_keys(iform, A.elements)
-    return _finish(A, form, keys, raw, "group", params)
+    columns, m = integer_columns(A.elements)
+    iform, mult = clear_denominators(form)
+    raw, params = _base_encode(columns, iform)
+    keys, scale = form_keys(iform, A.elements, (columns, m))
+    return _finish(A, form, keys, scale * mult, raw, "group", params)
 
 
 def _fill_consecutive(out: np.ndarray, start: int) -> None:
@@ -265,10 +246,10 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
     halves epsilon and resumes the scan after the rejected q.
     """
     k = len(A)
-    iform, _ = clear_denominators(form)
+    iform, mult = clear_denominators(form)
     keys, scale = form_keys(iform, A.elements)
     if k == 1:
-        return _finish(A, form, keys, [1], "dirichlet", None)
+        return _finish(A, form, keys, scale * mult, [1], "dirichlet", None)
 
     h = iform.arity
     phi_star = int(iform.max_abs_coeff())
@@ -339,7 +320,7 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
                 delta_star, eps, qc, tuple(float(t) for t in thetas)
             )
             try:
-                return _finish(A, form, keys, bs, "dirichlet", params)
+                return _finish(A, form, keys, scale * mult, bs, "dirichlet", params)
             except CertificateError:
                 # float delta* overestimated the safe gap; tighten and resume
                 eps = eps / 2
@@ -374,7 +355,7 @@ def realize_lp(A: FiniteSet, form: LinearForm) -> RealizationResult:
         raise BudgetExceededError(
             f"k^2h = {k}^{2 * h} exceeds the constraint budget {PAIR_BUDGET}"
         )
-    iform, _ = clear_denominators(form)
+    iform, mult = clear_denominators(form)
     coeffs = iform.coeffs
 
     # group the tuples' coefficient vectors by the key of their value
@@ -410,7 +391,7 @@ def realize_lp(A: FiniteSet, form: LinearForm) -> RealizationResult:
     raw = [x.numerator * (m // x.denominator) for x in t]
     _check_class_structure(classes, raw)
     params = LpParams(sum(map(len, classes)), stats.equations, stats.inequalities, stats.pivots)
-    return _finish(A, form, keys, raw, "lp", params)
+    return _finish(A, form, keys, scale * mult, raw, "lp", params)
 
 
 def _check_class_structure(classes, raw) -> None:

@@ -14,7 +14,6 @@ from addcomb import (
     BudgetExceededError,
     CertificateError,
     FiniteSet,
-    LatticeSet,
     LinearForm,
     SUM_FORM,
     DIFFERENCE_FORM,
@@ -24,9 +23,9 @@ from addcomb import (
     clear_denominators,
     form_image,
     images,
+    induced_bijection,
     is_mstd,
     is_phi_isomorphism,
-    lattice_embed,
     realization,
     realize,
     realize_dirichlet,
@@ -115,24 +114,27 @@ class TestTranslatePositive:
 
 
 class TestLatticeEmbed:
+    """realization._base_encode, the group route's embedding, on integer
+    columns (one per coordinate, points in order)."""
+
     def test_dimension_one_is_identity(self):
-        B, params = lattice_embed(LatticeSet(1, [(0,), (2,), (5,)]), SUM_FORM)
-        assert B.elements == (0, 2, 5)
+        values, params = realization._base_encode([[0, 2, 5]], SUM_FORM)
+        assert values == [0, 2, 5]
         assert params.lam == 2 * 5 * 1 * 2 + 2
 
     def test_unit_square_corner(self):
-        lattice = LatticeSet(2, [(0, 0), (1, 0), (0, 1)])
-        B, params = lattice_embed(lattice, SUM_FORM)
+        points = [(0, 0), (1, 0), (0, 1)]
+        values, params = realization._base_encode(_columns(points), SUM_FORM)
         assert (params.a_star, params.phi_star, params.arity, params.lam) == (1, 1, 2, 6)
-        assert B.elements == (0, 1, 6)
-        assert lattice_coincidence_oracle(lattice.points, (1, 1), [0, 1, 6])
+        assert values == [0, 1, 6]
+        assert lattice_coincidence_oracle(points, (1, 1), values)
 
     def test_negative_coordinates(self):
-        lattice = LatticeSet(2, [(-1, 0), (1, 1)])
-        B, params = lattice_embed(lattice, DIFFERENCE_FORM)
+        points = [(-1, 0), (1, 1)]
+        values, params = realization._base_encode(_columns(points), DIFFERENCE_FORM)
         assert params.lam == 6
-        assert B.elements == (-1, 7)
-        assert lattice_coincidence_oracle(lattice.points, (1, -1), [-1, 7])
+        assert values == [-1, 7]
+        assert lattice_coincidence_oracle(points, (1, -1), values)
 
     def test_embedding_preserves_coincidences_randomly(self):
         rng = random.Random(3)
@@ -141,24 +143,20 @@ class TestLatticeEmbed:
             pts = set()
             while len(pts) < rng.randint(2, 4):
                 pts.add(tuple(rng.randint(-2, 2) for _ in range(d)))
-            lattice = LatticeSet(d, sorted(pts))
+            points = sorted(pts)
             coeffs = (1, rng.choice([-2, -1, 1, 2]))
-            values = _embed_values(lattice, LinearForm(coeffs))
-            assert lattice_coincidence_oracle(lattice.points, coeffs, values)
+            values, params = realization._base_encode(_columns(points), LinearForm(coeffs))
+            powers = [params.lam**i for i in range(d)]
+            assert values == [sum(x * w for x, w in zip(p, powers)) for p in points]
+            assert lattice_coincidence_oracle(points, coeffs, values)
 
     def test_rational_form_rejected(self):
         with pytest.raises(ValueError, match="denominators"):
-            lattice_embed(LatticeSet(1, [(0,)]), LinearForm((Fraction(1, 2), 1)))
-
-    def test_distinct_points_required(self):
-        with pytest.raises(ValueError):
-            LatticeSet(2, [(0, 0), (0, 0)])
+            realization._base_encode([[0]], LinearForm((Fraction(1, 2), 1)))
 
 
-def _embed_values(lattice: LatticeSet, form: LinearForm):
-    _, params = lattice_embed(lattice, form)
-    powers = [params.lam**i for i in range(lattice.dimension)]
-    return [sum(x * w for x, w in zip(p, powers)) for p in lattice.points]
+def _columns(points) -> list:
+    return [list(col) for col in zip(*points)]
 
 
 class TestRealizeGroup:
@@ -240,11 +238,11 @@ class TestRealizeDirichlet:
         assert first.q == first_close_denominator(elements, first.epsilon)
         finish, rejected = realization._finish, []
 
-        def fail_once(A, form, akeys, raw, method, params):
+        def fail_once(A, form, akeys, scale, raw, method, params):
             if not rejected:
                 rejected.append(params.q)
                 raise CertificateError("rejected for the test")
-            return finish(A, form, akeys, raw, method, params)
+            return finish(A, form, akeys, scale, raw, method, params)
 
         monkeypatch.setattr(realization, "_finish", fail_once)
         params = realize_dirichlet(A, form).params
@@ -391,15 +389,30 @@ class TestRealizationInvariants:
             assert va.is_mstd == vb.is_mstd
 
 
+def _spy_value_tables(monkeypatch) -> list:
+    """Patch images.value_table to record the length of every column it
+    tabulates."""
+    calls = []
+    value_table = images.value_table
+
+    def spy(form, elements):
+        calls.append(len(elements))
+        return value_table(form, elements)
+
+    monkeypatch.setattr(images, "value_table", spy)
+    return calls
+
+
 class TestCertificate:
-    """_finish certifies from the route's own keys of A; is_phi_isomorphism,
-    which builds both key tables itself, is the oracle."""
+    """_finish certifies from the route's own keys of A; is_phi_isomorphism
+    on a fresh equal pairing, which builds both key tables itself, is the
+    oracle."""
 
     def test_every_route_gives_the_oracle_verdict(self):
         records = suite_results()[0]
         assert {method for _, _, method, _ in records} == {"group", "dirichlet", "lp"}
         for A, form, method, r in records:
-            assert r.certificate == is_phi_isomorphism(form, r.mapping), (A, form, method)
+            assert r.certificate == is_phi_isomorphism(form, fresh(r.mapping)), (A, form, method)
 
     @pytest.mark.parametrize(
         "elements, form, raw",
@@ -413,26 +426,19 @@ class TestCertificate:
     )
     def test_a_non_isomorphic_raw_raises_the_oracle_witness(self, elements, form, raw):
         A = FiniteSet(elements)
-        keys, _ = images.form_keys(form, A.elements)
+        keys, scale = images.form_keys(form, A.elements)
         B = translate_positive(FiniteSet(raw))
         shift = B.min() - min(raw)
         mapping = SetBijection.from_function(A, B, lambda a: raw[A.elements.index(a)] + shift)
         expected = is_phi_isomorphism(form, mapping)
         assert not expected.is_isomorphism
         with pytest.raises(CertificateError, match=re.escape(f"at witness {expected.witness}")):
-            realization._finish(A, form, keys, raw, "test", None)
+            realization._finish(A, form, keys, scale, raw, "test", None)
 
     @pytest.mark.parametrize("route", ["dirichlet", "lp"])
     def test_one_value_table_per_column_of_a_and_of_b(self, monkeypatch, route):
         # A has one integer column per basis coordinate, B one column
-        calls = []
-        value_table = images.value_table
-
-        def spy(form, elements):
-            calls.append(len(elements))
-            return value_table(form, elements)
-
-        monkeypatch.setattr(images, "value_table", spy)
+        calls = _spy_value_tables(monkeypatch)
         for A in realization_suite()[:9]:
             for form in REALIZATION_FORMS:
                 calls.clear()
@@ -451,6 +457,65 @@ class TestCertificate:
         monkeypatch.setattr(realization, "form_image", refuse)
         monkeypatch.setattr(images, "form_image", refuse)
         assert [realize_dirichlet(A, form) for A, form in cases] == expected
+
+
+def fresh(f: SetBijection) -> SetBijection:
+    """An equal pairing that carries no certificate tables."""
+    return SetBijection(f.domain, f.codomain, f.perm)
+
+
+#: a rational form checks that the carried scales are the original form's
+CARRIED_FORMS = tuple(LinearForm.parse(text) for text in ("1,1", "1,-1", "1/2,1/3", "1,1,-1"))
+
+
+class TestCarriedTables:
+    """_finish hands its key tables, scales and verdict to the pairing it
+    returns; on the certified form, induced_bijection must give on that
+    pairing exactly what it gives on a fresh equal one, which computes them."""
+
+    @pytest.mark.parametrize("route", ["group", "dirichlet", "lp"])
+    def test_induced_map_is_the_fresh_pairings(self, route):
+        for A in realization_suite():
+            for form in CARRIED_FORMS:
+                mapping = realize(A, form, route).mapping
+                assert mapping._tables is not None
+                got = induced_bijection(form, mapping).pairs
+                assert repr(got) == repr(induced_bijection(form, fresh(mapping)).pairs), (A, form)
+
+    @pytest.mark.parametrize("route", ["group", "dirichlet", "lp"])
+    def test_induced_map_builds_no_value_table(self, monkeypatch, route):
+        calls = _spy_value_tables(monkeypatch)
+        for A in realization_suite()[:9]:
+            for form in CARRIED_FORMS:
+                mapping = realize(A, form, route).mapping
+                calls.clear()
+                induced_bijection(form, mapping)
+                assert calls == [], (A, form)
+                induced_bijection(form, fresh(mapping))
+                assert calls, (A, form)
+
+    def test_a_signed_form_computes_its_own_tables(self, monkeypatch):
+        calls = _spy_value_tables(monkeypatch)
+        for A in realization_suite()[:9]:
+            for form in CARRIED_FORMS:
+                mapping = realize(A, form, "group").mapping
+                for flip, flipped in all_sign_flips(form):
+                    calls.clear()
+                    got = induced_bijection(flipped, mapping).pairs
+                    assert bool(calls) == (flipped != form), (A, form, flip)
+                    assert repr(got) == repr(induced_bijection(flipped, fresh(mapping)).pairs)
+                    assert check_signed_transfer(form, flip, mapping)
+                    assert check_signed_transfer(form, flip, fresh(mapping))
+
+    def test_the_tables_are_no_part_of_the_pairings_value(self):
+        for A in realization_suite()[:9]:
+            for form in CARRIED_FORMS:
+                mapping = realize(A, form, "group").mapping
+                other = fresh(mapping)
+                assert other._tables is None
+                assert mapping == other
+                assert hash(mapping) == hash(other)
+                assert repr(mapping) == repr(other)
 
 
 def _route_digest(route: str) -> str:

@@ -15,6 +15,8 @@ import pytest
 from addcomb import search
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+#: (kind, arity, ops) of the certify workload's first 6 ops
+CERTIFY_GROUPS = [("integer", 2, 1), ("integer", 3, 1), ("rational", 2, 2), ("symbolic", 2, 2)]
 
 
 def load_script(name: str):
@@ -36,6 +38,13 @@ def load_script(name: str):
             + [f"lp k={k}     calls" for k in range(2, 9)],
         ),
         ("pool_break_even", ["mstd", "8"], ["mstd diameter 8"]),
+        (
+            "certify_times",
+            ["--ops", "6", "1"],
+            ["seeds [1], 6 ops each"]
+            + [f"{kind:8}  h={h}  ops    {n}  total " for kind, h, n in CERTIFY_GROUPS]
+            + ["all            ops    6  total "],
+        ),
     ],
 )
 def test_script_main_runs(name, argv, heads, monkeypatch, capsys):
@@ -71,6 +80,13 @@ def test_certify_times_reports_a_one_op_group(monkeypatch, capsys):
         p50, p90 = line.split("p50/p90")[1].split("/")
         assert p50.strip() == p90.strip()
     assert lines[-1].startswith("all") and "ops   12" in lines[-1]
+    # realize and the induced map are parts of the op, each rounded to 1 ms
+    for line in lines[1:]:
+        words = line.split()
+        total, realize, induced = (
+            float(words[words.index(name) + 1]) for name in ("total", "realize", "induced")
+        )
+        assert realize + induced <= total + 0.001, line
 
 
 def test_bench_pairs_runs_one_pair(tmp_path):
