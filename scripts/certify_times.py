@@ -11,7 +11,9 @@ map (``induced_bijection``), and for integer sets ``is_mstd`` and the MPTQ
 mirror. It prints, per set kind (integer, rational, symbolic) and form
 arity, the number of ops, their total seconds, the part of it in
 ``realize`` and in ``induced_bijection``, and the p50 / p90 of the op time,
-then one line with the same totals over all ops.
+then one line with the same totals over all ops. Last, per set kind, it
+counts the ``model.key_order`` calls (calls, not keys) whose order the
+float error bound settled and those that went to the exact intervals.
 """
 
 import argparse
@@ -23,7 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from addcomb import images, isomorphism, mptq, realization  # noqa: E402
+from addcomb import images, isomorphism, model, mptq, realization  # noqa: E402
 from perfbench.workloads import Certify, certify_schedule  # noqa: E402
 
 
@@ -53,11 +55,27 @@ def main(argv) -> None:
     args = ap.parse_args(argv)
 
     seconds = defaultdict(list)
-    for seed in args.seeds:
-        workload = Certify(seed)
-        for i, op in enumerate(workload.ops[: args.ops]):
-            kind, coeffs, _ = certify_schedule(i)
-            seconds[kind, len(coeffs)].append(time_op(op))
+    # per kind, the key_order calls settled by floats and by exact intervals
+    orders = defaultdict(lambda: [0, 0])
+    tally = orders[None]
+    float_order = model._float_order
+
+    def counted(keys, approx):
+        order = float_order(keys, approx)
+        tally[order is None] += 1
+        return order
+
+    model._float_order = counted
+    try:
+        for seed in args.seeds:
+            tally = orders[None]  # building the sets orders them too
+            workload = Certify(seed)
+            for i, op in enumerate(workload.ops[: args.ops]):
+                kind, coeffs, _ = certify_schedule(i)
+                tally = orders[kind]
+                seconds[kind, len(coeffs)].append(time_op(op))
+    finally:
+        model._float_order = float_order
     print(f"seeds {args.seeds}, {args.ops} ops each")
     for (kind, h), times in sorted(seconds.items()):
         ms = [1e3 * t for t, _, _ in times]
@@ -69,6 +87,9 @@ def main(argv) -> None:
         )
     every = [t for times in seconds.values() for t in times]
     print(f"{'all':8}       ops {len(every):4}  {totals(every)}")
+    for kind in sorted({kind for kind, _ in seconds}):
+        settled, exact = orders[kind]
+        print(f"{kind:8}  key_order calls  float {settled}  exact {exact}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ the multiplicity of an image value x counts the ordered tuples realizing it.
 Sumsets and difference sets are the h = 2 special cases.
 
 Form values are computed here, for the whole package, as exact integer keys
-that coincide where the values do; keys are ordered as they are, and only
+that coincide where the values do: one numpy key table per form and set, a
+row per integer column and a column per ordered tuple. Equal keys are found
+by one sort of the table (key_runs), keys are ordered as they are, and only
 a shown key is decoded.
 """
 
@@ -14,7 +16,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
+    SMALL_TABLE,
     DIFFERENCE_FORM,
     SUM_FORM,
     FiniteSet,
@@ -23,32 +28,116 @@ from .model import (
     clear_denominators,
     decode,
     integer_columns,
+    key_array,
     key_order,
     signed_form,
     value_table,
 )
 
 
-def form_keys(form: LinearForm, elements, cleared=None) -> tuple[list, int]:
+def form_keys(form: LinearForm, elements, cleared=None) -> tuple[np.ndarray, int]:
     """Exact integer keys of the form's values over all ordered tuples of the
-    elements, in tuple order, and their scale m * the form's multiplier (both
-    positive): int keys for one integer column, int tuples for several.
+    elements, and their scale m * the form's multiplier (both positive): a
+    key table with a row per integer column of the elements (one for
+    rationals, one per basis coordinate) and a column per tuple, in tuple
+    order. It is int64 unless some column's value_table needs dtype=object.
     cleared is integer_columns(elements), when the caller already has it."""
     iform, mult = clear_denominators(form)
     columns, m = integer_columns(elements) if cleared is None else cleared
     tables = [value_table(iform, col) for col in columns]
-    keys = tables[0] if len(tables) == 1 else list(zip(*tables))
-    return keys, m * mult
+    # one column needs no copy, only a second axis
+    return (tables[0][np.newaxis] if len(tables) == 1 else np.array(tables)), m * mult
 
 
-def image_order(keys, scale: int, basis) -> list:
-    """The distinct keys in increasing order of their values: rational and
-    dimension-1 keys are ints and sort as such, the others by
-    model.key_order (ValueError on a tie)."""
+def _small_key_runs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """key_runs of a small table, by a dict over its columns as Python
+    values, with one array conversion for all three results."""
+    rows = table.tolist()
+    index: dict = {}
+    first: list = []
+    counts: list = []
+    run = []
+    for pos, key in enumerate(rows[0] if len(rows) == 1 else zip(*rows)):
+        j = index.get(key)
+        if j is None:
+            j = index[key] = len(first)
+            first.append(pos)
+            counts.append(0)
+        counts[j] += 1
+        run.append(j)
+    d = len(first)
+    packed = np.array(first + counts + run, dtype=np.intp)
+    return packed[:d], packed[d : 2 * d], packed[2 * d :]
+
+
+def key_runs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct keys of a key table in first-seen order, by one stable
+    sort of its columns: an argsort of a single row, a lexsort of several.
+    A table of at most SMALL_TABLE columns is grouped by a dict instead,
+    which there costs less than the sort's numpy calls. Every sort here
+    and in key_order is numpy's stable one, whose code is shared by int64
+    and float64 arrays.
+
+    Returns (first, counts, run): the position of each distinct key's
+    first column, the number of columns holding it, and for every column
+    the index of its key in that order.
+    """
+    n = table.shape[1]
+    if n <= SMALL_TABLE:
+        return _small_key_runs(table)
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    if len(table) == 1:
+        order = table[0].argsort(kind="stable")
+        ordered = table[0, order]
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    else:
+        order = np.lexsort(table)
+        ordered = table[:, order]
+        np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=starts[1:])
+    heads = starts.nonzero()[0]
+    sizes = np.empty_like(heads)
+    sizes[:-1] = heads[1:] - heads[:-1]
+    sizes[-1] = n - heads[-1]
+    # the sort is stable, so each run starts at its key's first column
+    firsts = order[heads]
+    seen = firsts.argsort(kind="stable")
+    run = np.empty(n, dtype=np.intp)
+    run[order] = seen.argsort(kind="stable").repeat(sizes)
+    return firsts[seen], sizes[seen], run
+
+
+def key_list(table: np.ndarray) -> list:
+    """A key table's keys as hashable Python values in tuple order: ints
+    for one row, int tuples for several."""
+    rows = table.tolist()
+    return rows[0] if len(rows) == 1 else list(zip(*rows))
+
+
+def ordered_keys(table: np.ndarray, scale: int, basis) -> list:
+    """The distinct keys of a key table as Python values (as key_list gives
+    them), in increasing order of their values: image_order of the
+    distinct keys in first-seen order (ValueError on a tie). A table of at
+    most SMALL_TABLE columns finds them with a dict over its key_list and
+    sorts them as Python values, where key_runs and two fancy indexes cost
+    more than the whole dict walk."""
+    if table.shape[1] <= SMALL_TABLE:
+        distinct = list(dict.fromkeys(key_list(table)))
+        if basis is None or basis.dimension == 1:
+            return sorted(distinct)
+        order = key_order(key_array(list(zip(*distinct))), scale, basis)
+        return [distinct[i] for i in order.tolist()]
+    distinct = table[:, key_runs(table)[0]]
+    return key_list(distinct[:, image_order(distinct, scale, basis)])
+
+
+def image_order(keys: np.ndarray, scale: int, basis) -> np.ndarray:
+    """Positions of distinct keys, the columns of a key array, in increasing
+    order of their values: rational and dimension-1 keys are integers and
+    sort as such, the others by model.key_order (ValueError on a tie)."""
     if basis is None or basis.dimension == 1:
-        return sorted(keys)
-    keys = list(keys)
-    return [keys[i] for i in key_order(keys, scale, basis)]
+        return keys[0].argsort(kind="stable")
+    return key_order(keys, scale, basis)
 
 
 @dataclass(frozen=True)
@@ -71,11 +160,12 @@ def form_image(form: LinearForm, A: FiniteSet) -> ImageReport:
     distinct keys are ordered once, by image_order, and each is decoded once
     (ValueError on a float tie)."""
     keys, scale = form_keys(form, A.elements)
-    counts = Counter(keys)
-    order = image_order(counts, scale, A.basis)
-    values = decode(order, scale, A.basis)
+    first, counts, _ = key_runs(keys)
+    distinct = keys[:, first]
+    order = image_order(distinct, scale, A.basis)
+    values = decode(distinct[:, order], scale, A.basis)
     image = FiniteSet._ordered(values, A.basis)
-    return ImageReport(image, Counter(dict(zip(values, map(counts.__getitem__, order)))))
+    return ImageReport(image, Counter(dict(zip(values, counts[order].tolist()))))
 
 
 def rep_function(form: LinearForm, A: FiniteSet, x) -> int:
@@ -92,8 +182,8 @@ class MstdVerdict:
 
 def is_mstd(A: FiniteSet) -> MstdVerdict:
     """Compare |A+A| against |A-A| as counts of distinct keys; MSTD is strict."""
-    s = len(set(form_keys(SUM_FORM, A.elements)[0]))
-    d = len(set(form_keys(DIFFERENCE_FORM, A.elements)[0]))
+    s = len(key_runs(form_keys(SUM_FORM, A.elements)[0])[0])
+    d = len(key_runs(form_keys(DIFFERENCE_FORM, A.elements)[0])[0])
     return MstdVerdict(s, d, s > d)
 
 

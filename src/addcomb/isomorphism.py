@@ -3,9 +3,10 @@
 A bijection f preserves a form when two tuples share a form value on the
 domain side exactly when their images share a value on the codomain side.
 Each side's values partition the k^h index tuples; the partitions are equal
-exactly when there are as many distinct (domain value, codomain value)
-pairs as distinct values on either side, which takes O(k^h) hashing instead
-of comparing all k^{2h} pairs of tuples. Values are the exact integer keys of
+exactly when the codomain value is constant on every class of the domain
+partition and both have as many classes, which one sort of each side's
+keys (on a small table, a count of distinct key pairs) decides instead of
+comparing all k^{2h} pairs of tuples. Values are the exact integer keys of
 ``images.form_keys``, which coincide exactly where values do; ``images``
 also orders them, and only a shown key is decoded.
 
@@ -20,14 +21,25 @@ left are the identity and the reversal.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CertificateError
 # form_image and value_table stay module attributes: perfbench/spans.py wraps them here
-from .images import decode, form_image, form_keys, image_order, is_mstd, value_table  # noqa: F401
+from .images import (  # noqa: F401
+    decode,
+    form_image,
+    form_keys,
+    image_order,
+    is_mstd,
+    key_list,
+    key_runs,
+    value_table,
+)
 from .model import (
+    SMALL_TABLE,
     SUM_FORM,
     FiniteSet,
     LinearForm,
@@ -125,6 +137,7 @@ def _first_disagreement(akeys, bkeys, k: int, h: int) -> tuple:
     """The witness (u, v) of a failed check: v is the earliest tuple whose
     key pair disagrees with u, the first tuple that shares v's domain key
     (checked first) or v's codomain key."""
+    akeys, bkeys = key_list(akeys), key_list(bkeys)
     first_a: dict = {}
     first_b: dict = {}
     for v, (a, b) in enumerate(zip(akeys, bkeys)):
@@ -136,37 +149,58 @@ def _first_disagreement(akeys, bkeys, k: int, h: int) -> tuple:
             return _unrank(u, k, h), _unrank(v, k, h)
 
 
-def _verdict(akeys, bkeys, k: int, h: int):
-    """Compare two key tables in tuple order through the set of key pairs.
+def _verdict(akeys: np.ndarray, bkeys: np.ndarray, k: int, h: int):
+    """Compare two key tables in tuple order.
 
-    The pairing is a homomorphism exactly when each domain key meets one
-    codomain key, that is when the pairs are as many as the distinct domain
-    keys, and an isomorphism when they are also as many as the distinct
-    codomain keys. Only a failure walks the tuples, to find its witness.
-    Returns the verdict and the map from domain key to codomain key.
+    The pairing is a homomorphism exactly when the codomain key is constant
+    on every class of equal domain keys, and an isomorphism when both sides
+    also have as many classes. Tables of more than SMALL_TABLE columns are
+    compared by one key_runs of each: the codomain run of every column must
+    be that of its domain run's first column. Smaller ones are compared as
+    Python lists, by counting the distinct key pairs: there the numpy calls
+    of key_runs and the comparison cost more than the whole count. Only a
+    failure walks the tuples to find its witness. Returns the verdict and
+    both tables' key_runs, or None for lists.
     """
-    pairs = set(zip(akeys, bkeys))
-    # keys in first-seen order, as in form_image, so both name a float tie alike
-    forward = dict(zip(akeys, bkeys))
-    homomorphism = len(forward) == len(pairs)
-    isomorphism = homomorphism and len(set(bkeys)) == len(pairs)
+    if akeys.shape[1] <= SMALL_TABLE:
+        alist, blist = key_list(akeys), key_list(bkeys)
+        pairs = len(set(zip(alist, blist)))
+        homomorphism = len(set(alist)) == pairs
+        isomorphism = homomorphism and len(set(blist)) == pairs
+        runs = None
+    else:
+        aruns, bruns = key_runs(akeys), key_runs(bkeys)
+        brun = bruns[2]
+        homomorphism = bool((brun == brun[aruns[0]][aruns[2]]).all())
+        isomorphism = homomorphism and len(bruns[0]) == len(aruns[0])
+        runs = aruns, bruns
     witness = None if isomorphism else _first_disagreement(akeys, bkeys, k, h)
-    return IsoVerdict(homomorphism, isomorphism, witness), forward
+    return IsoVerdict(homomorphism, isomorphism, witness), runs
+
+
+def _paired_runs(akeys: np.ndarray, bkeys: np.ndarray, runs) -> tuple:
+    """The distinct domain keys in first-seen order (as in form_image, so
+    both name a float tie alike), their multiplicities, the codomain key of
+    each and that key's multiplicity on the codomain side, from the runs
+    _verdict found (found here for the tables it compared as lists)."""
+    (afirst, acounts, _), (_, bcounts, brun) = runs or (key_runs(akeys), key_runs(bkeys))
+    bhead = brun[afirst]
+    return akeys[:, afirst], acounts, bkeys[:, afirst], bcounts[bhead]
 
 
 def _coincidences(form: LinearForm, f: SetBijection):
     """Both sides' key tables and their _verdict. Returns the verdict, the
-    map from domain key to codomain key, the two key tables and the two
-    scales that decode needs: the ones f carries from its certificate when
-    form is the certified form, else computed.
+    two tables, the runs _verdict found and the two scales that decode
+    needs: the ones f carries from its certificate when form is the
+    certified form, else computed.
     """
     tables = f._tables
     if tables is not None and tables[0] == form:
         return tables[1:]
     akeys, sa = form_keys(form, f.domain.elements)
     bkeys, sb = form_keys(form, f.mapped_elements())
-    verdict, forward = _verdict(akeys, bkeys, len(f.domain), form.arity)
-    return verdict, forward, akeys, bkeys, (sa, sb)
+    verdict, runs = _verdict(akeys, bkeys, len(f.domain), form.arity)
+    return verdict, akeys, bkeys, runs, (sa, sb)
 
 
 def is_phi_isomorphism(form: LinearForm, f: SetBijection) -> IsoVerdict:
@@ -200,40 +234,40 @@ class InducedMap:
 def induced_bijection(form: LinearForm, f: SetBijection) -> InducedMap:
     """Build the induced value map and verify multiplicities transfer.
 
-    The key tables and verdict are the certificate's when f carries them
-    (see _coincidences). Multiplicities are counted over the keys and
-    compared in one pass; images.image_order puts the domain's distinct keys
-    in value order, and each side's keys are decoded once, in that order.
+    The runs and verdict are the certificate's when f carries them (see
+    _coincidences), so a table of more than SMALL_TABLE columns is hashed,
+    counted or sorted no more but to order the values: images.image_order
+    puts the domain's distinct keys in value order, and each side's keys
+    are decoded once, in that order. The multiplicity and injectivity
+    checks compare arrays.
     """
-    verdict, forward, akeys, bkeys, (sa, sb) = _coincidences(form, f)
+    verdict, akeys, bkeys, runs, (sa, sb) = _coincidences(form, f)
     if not verdict.is_isomorphism:
         raise ValueError(f"bijection is not an isomorphism (witness {verdict.witness})")
-    xkeys = image_order(forward, sa, f.domain.basis)
-    ykeys = list(map(forward.__getitem__, xkeys))
-    xs = decode(xkeys, sa, f.domain.basis)
-    ys = decode(ykeys, sb, f.codomain.basis)
-    ma, mb = Counter(akeys), Counter(bkeys)
-    mxs = list(map(ma.__getitem__, xkeys))
-    mys = list(map(mb.__getitem__, ykeys))
-    if mxs != mys:
-        for x, y, mx, my in zip(xs, ys, mxs, mys):
+    xkeys, mxs, ykeys, mys = _paired_runs(akeys, bkeys, runs)
+    order = image_order(xkeys, sa, f.domain.basis)
+    xs = decode(xkeys[:, order], sa, f.domain.basis)
+    ys = decode(ykeys[:, order], sb, f.codomain.basis)
+    mxs, mys = mxs[order], mys[order]
+    if not np.array_equal(mxs, mys):
+        for x, y, mx, my in zip(xs, ys, mxs.tolist(), mys.tolist()):
             if mx != my:
                 raise CertificateError(f"multiplicity mismatch at {x} -> {y}: {mx} != {my}")
-    if len(set(ykeys)) != len(xkeys):
+    if len(key_runs(ykeys)[0]) != len(xs):
         raise CertificateError("induced map is not injective")
-    return InducedMap(tuple(zip(xs, ys, mxs)))
+    return InducedMap(tuple(zip(xs, ys, mxs.tolist())))
 
 
 def check_signed_transfer(form: LinearForm, flip, f: SetBijection) -> bool:
     """An isomorphism for the base form must remain one for every
     sign-flipped variant, with equal image sizes on both sides. A False
     return signals an implementation bug, never valid input behavior.
-    The image sizes are the numbers of distinct keys on each side.
+    The image sizes are the numbers of distinct keys on each side, which
+    _verdict finds equal for every isomorphism.
     """
     if not is_phi_isomorphism(form, f).is_isomorphism:
         raise ValueError("bijection is not an isomorphism for the base form")
-    verdict, _, akeys, bkeys, _ = _coincidences(signed_form(form, flip), f)
-    return verdict.is_isomorphism and len(set(akeys)) == len(set(bkeys))
+    return _coincidences(signed_form(form, flip), f)[0].is_isomorphism
 
 
 @dataclass(frozen=True)

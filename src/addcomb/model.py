@@ -5,18 +5,26 @@ carry the rational arithmetic; a real number that is not rational is a
 :class:`RealElement`, a vector of rational coordinates over a declared basis
 of reals that the caller asserts to be linearly independent over Q.
 :func:`key_order`, the one order of symbolic reals, trusts each basis
-approximation to half an ulp and orders exact integer intervals, raising
-when two meet. Only the Dirichlet denominator search turns values into
-floats, and no float decides an equality or an order.
+approximation to half an ulp. It first orders float dot products and keeps
+that order only where an a-priori rounding-error bound proves it is the
+order of the exact integer intervals, with no two of them meeting;
+otherwise it orders the exact intervals themselves, raising when two meet.
+No float decides an equality, and a float fixes an order only where that
+bound proves it exact. The Dirichlet denominator search is the one other
+place that turns values into floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import BudgetExceededError
 
@@ -25,6 +33,35 @@ Scalar = Union[int, Fraction, "RealElement"]
 
 #: hard ceiling on |A|^h wherever ordered tuples are enumerated
 TUPLE_BUDGET = 1_000_000
+
+#: an integer array is int64 while a bound on every entry and every
+#: intermediate sum stays below this, and dtype=object (Python ints) past it
+INT64_BOUND = 1 << 63
+#: integers below this in magnitude are exact as floats
+FLOAT_EXACT = 1 << 53
+#: the unit roundoff of a float, 2^-53
+UNIT_ROUNDOFF = 2.0**-53
+#: key_order tries the float order from this many keys on. Timed on an
+#: x86_64 Xeon at dimension 2 and 3, the exact intervals cost less below
+#: 12 keys back to back and below 16 to 24 keys with numpy's code and data
+#: evicted between calls (README, "Performance notes")
+FLOAT_ORDER_MIN = 16
+#: value tables of at most this many tuples are summed as Python ints and
+#: converted once, which costs less there than broadcasting slot by slot
+SMALL_TABLE = 64
+
+
+def int_array(rows, bound: int) -> np.ndarray:
+    """rows of Python ints as a numpy array: int64 when bound, which the
+    caller proves to exceed every entry and every sum it will form from
+    them in magnitude, is below 2^63, and dtype=object past it."""
+    return np.array(rows, dtype=np.int64 if bound < INT64_BOUND else object)
+
+
+def key_array(columns) -> np.ndarray:
+    """Integer columns (as integer_columns gives them) as a key array with a
+    row per column, int64 when every entry is below 2^63 in magnitude."""
+    return int_array(columns, max(abs(n) for col in columns for n in col))
 
 
 def as_rational(x) -> Rational:
@@ -137,7 +174,7 @@ class RealElement:
         if self.coords == other.coords:
             return 0
         columns, m = integer_columns([self, other])
-        return -1 if key_order(list(zip(*columns)), m, self.basis)[0] == 0 else 1
+        return -1 if key_order(key_array(columns), m, self.basis)[0] == 0 else 1
 
     def __lt__(self, other):
         return self._order_key(other) < 0
@@ -187,40 +224,108 @@ def _exact(n: int, scale: int):
     return q if r == 0 else Fraction(n, scale)
 
 
-def decode(keys, scale: int, basis) -> list:
-    """The exact values behind integer keys: each coordinate over scale, as
-    rationals (basis None) or RealElements over the basis. Keys over a basis
-    are tuples of basis.dimension ints (ints for dimension 1); each distinct
-    coordinate is divided by scale once."""
+def _exact_row(row: np.ndarray, scale: int) -> list:
+    """The integers of a key array's row over scale, as Python ints where
+    they divide (found by one divmod over the row) and as a Fraction, built
+    once per distinct numerator, where they do not."""
+    ns = row.tolist()
+    if scale == 1:
+        return ns
+    if row.dtype == object or scale >= INT64_BOUND:
+        # Python ints: a scale past int64 cannot meet an int64 row
+        row = row.astype(object)
+        q, r = row // scale, row % scale
+    else:
+        q, r = np.divmod(row, scale)
+    values = q.tolist()
+    inexact = np.flatnonzero(r).tolist()
+    if inexact:
+        fractions: dict = {}
+        for i in inexact:
+            n = ns[i]
+            x = fractions.get(n)
+            if x is None:
+                x = fractions[n] = Fraction(n, scale)
+            values[i] = x
+    return values
+
+
+def decode(keys: np.ndarray, scale: int, basis) -> list:
+    """The exact values behind the columns of a key array, in column order:
+    each coordinate over scale, as rationals (basis None, one row) or
+    RealElements over the basis (a row per basis coordinate). Only Python
+    ints, Fractions and RealElements come out, never a numpy scalar."""
+    rows = [_exact_row(row, scale) for row in keys]
     if basis is None:
-        return keys if scale == 1 else [_exact(n, scale) for n in keys]
-    columns = [keys] if basis.dimension == 1 else list(zip(*keys))
-    if scale != 1:
-        exact = {n: _exact(n, scale) for n in set().union(*columns)}
-        columns = [map(exact.__getitem__, col) for col in columns]
-    values = [object.__new__(RealElement) for _ in keys]
+        return rows[0]
+    values = [object.__new__(RealElement) for _ in rows[0]]
     # every key has basis.dimension coordinates: nothing for __post_init__ to check
-    for x, coords in zip(values, zip(*columns)):
+    for x, coords in zip(values, zip(*rows)):
         fields = x.__dict__
         fields["basis"] = basis
         fields["coords"] = coords
     return values
 
 
-def key_order(keys, scale: int, basis: BasisDecl) -> list[int]:
-    """Positions of distinct integer coordinate vectors (values times a
-    positive scale) in increasing order of their values.
+@functools.lru_cache(maxsize=64)
+def _float_weights(approx: tuple) -> tuple | None:
+    """The approximations and their magnitudes as read-only float64
+    arrays, and the largest magnitude; None when some approximation is not
+    normal."""
+    if not all(abs(a) >= sys.float_info.min for a in approx):
+        return None
+    a, size = np.array(approx), np.abs(approx)
+    a.flags.writeable = size.flags.writeable = False
+    return a, size, max(map(abs, approx))
 
-    Each value is an exact integer interval: the constant 1 is exact and
+
+def _float_order(keys: np.ndarray, approx: tuple) -> np.ndarray | None:
+    """The order of the keys' values when floats prove it, else None.
+
+    keys is an int64 key array, a row per basis coordinate. With u = 2^-53,
+    a key's float f = sum(key * approx) (products of exact float keys,
+    summed in any order) is within gamma_dim * S of the exact centre of its
+    interval, S = sum(|key| * |approx|), and its radius, half an ulp of
+    each normal approximation, is at most u * S. So where every neighbour
+    gap in the argsort of f exceeds (2 * dim + 4) * u * (S_i + S_j), which
+    bounds both errors and the roundings of the gap and the margin
+    themselves, the exact centres are in that order and no two intervals
+    meet: it is the order the exact intervals give, with no tie. Tried only
+    when every key is below 2^53 in magnitude, so it is exact as a float,
+    every approximation is finite and normal, so an ulp is relative, and
+    4 * dim * max|key| * max|approx| is a float, so that no product, sum,
+    gap or margin overflows.
+    """
+    weights = _float_weights(approx)
+    if weights is None or keys.dtype != np.int64:
+        return None
+    a, size, top_a = weights
+    top = max(-int(keys.min()), int(keys.max()))
+    if not (top < FLOAT_EXACT and 4 * len(approx) * top * top_a < math.inf):
+        return None
+    x = keys.astype(np.float64)
+    ax = np.abs(x)
+    f, s = x[0] * a[0], ax[0] * size[0]
+    for row, row_size, w, w_size in zip(x[1:], ax[1:], a[1:], size[1:]):
+        f += row * w
+        s += row_size * w_size
+    order = f.argsort(kind="stable")
+    f, s = f[order], s[order]
+    margin = (2 * len(approx) + 4) * UNIT_ROUNDOFF * (s[1:] + s[:-1])
+    return order if (f[1:] - f[:-1] > margin).all() else None
+
+
+def _interval_order(keys: np.ndarray, scale: int, basis: BasisDecl) -> np.ndarray:
+    """key_order by exact integer intervals: the constant 1 is exact and
     every other basis approximation is trusted to within half an ulp, all
     over one power of two. Positions sort by centre; two neighbours whose
-    intervals meet raise the tie ValueError.
-    """
+    intervals meet raise the tie ValueError."""
     ratios = [a.as_integer_ratio() for a in basis.approx]
     ratios += [(n, 2 * q) for n, q in (math.ulp(a).as_integer_ratio() for a in basis.approx[1:])]
     d = max(q for _, q in ratios)  # the denominators are powers of two
     ints = [n * d // q for n, q in ratios]
     weights, radii = ints[: basis.dimension], [0] + ints[basis.dimension :]
+    keys = list(zip(*keys.tolist()))
     centres = [sum(map(mul, key, weights)) for key in keys]
     widths = [sum(map(mul, map(abs, key), radii)) for key in keys]
     order = sorted(range(len(keys)), key=centres.__getitem__)
@@ -231,7 +336,22 @@ def key_order(keys, scale: int, basis: BasisDecl) -> list[int]:
                 f"float tie between distinct symbolic reals {a} and {b}; "
                 "basis approximations cannot order them"
             )
-    return order
+    return np.array(order, dtype=np.intp)
+
+
+def key_order(keys: np.ndarray, scale: int, basis: BasisDecl) -> np.ndarray:
+    """Positions of distinct integer coordinate vectors (values times a
+    positive scale), the columns of a key array with a row per basis
+    coordinate, in increasing order of their values.
+
+    From FLOAT_ORDER_MIN keys on, the float order of _float_order is
+    returned where its error bound proves it exact; otherwise
+    _interval_order orders the exact integer intervals of the same keys, in
+    the same column order, so the order and any tie message are the ones
+    the intervals alone give.
+    """
+    order = _float_order(keys, basis.approx) if keys.shape[1] >= FLOAT_ORDER_MIN else None
+    return _interval_order(keys, scale, basis) if order is None else order
 
 
 class FiniteSet:
@@ -256,8 +376,8 @@ class FiniteSet:
                     raise ValueError("elements lie over different bases")
             distinct = list({x.coords: x for x in items}.values())
             columns, m = integer_columns(distinct)
-            order = key_order(list(zip(*columns)), m, basis)
-            self.elements: tuple = tuple(distinct[i] for i in order)
+            order = key_order(key_array(columns), m, basis)
+            self.elements: tuple = tuple(distinct[i] for i in order.tolist())
             self.basis: BasisDecl | None = basis
         else:
             rats = sorted({as_rational(x) for x in items})
@@ -438,13 +558,25 @@ def check_tuple_budget(k: int, h: int):
         )
 
 
-def value_table(form: LinearForm, elements: Sequence[Scalar]) -> list:
-    """Values of the form over all ordered tuples, in lexicographic index
-    order (first slot most significant), by partial sums in O(k + k^2 + ...
-    + k^h) additions. images.form_keys calls it on integer columns."""
+def value_table(form: LinearForm, elements: Sequence[int]) -> np.ndarray:
+    """Values of an integral form over all ordered tuples of an integer
+    column, in lexicographic index order (first slot most significant), as
+    one numpy array built by broadcasting one slot at a time. It is int64
+    when sum|c_j| * max|x|, which bounds every partial sum, is below 2^63,
+    checked before the build, and dtype=object past it. images.form_keys
+    calls it once per integer column."""
     check_tuple_budget(len(elements), form.arity)
-    scaled = [[c * e for e in elements] for c in form.coeffs]
-    vals = scaled[0]
-    for layer in scaled[1:]:
-        vals = [v + w for v in vals for w in layer]
-    return vals
+    # max(.., 1): a coefficient past 2^63 cannot enter an int64 array
+    bound = sum(map(abs, form.coeffs)) * max(max(map(abs, elements)), 1)
+    if len(elements) ** form.arity <= SMALL_TABLE:
+        first = form.coeffs[0]
+        vals = [first * e for e in elements]
+        for c in form.coeffs[1:]:
+            layer = [c * e for e in elements]
+            vals = [v + w for v in vals for w in layer]
+        return int_array(vals, bound)
+    x = int_array(elements, bound)
+    first, *rest = (x if c == 1 else c * x for c in form.coeffs)
+    for layer in rest:
+        first = np.add.outer(first, layer).ravel()
+    return first

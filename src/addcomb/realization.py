@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ApproximationError, BudgetExceededError, CertificateError
 # form_image and is_phi_isomorphism stay module attributes: perfbench/spans.py wraps them here
-from .images import form_image, form_keys, image_order  # noqa: F401
+from .images import form_image, form_keys, key_list, ordered_keys  # noqa: F401
 from .isomorphism import IsoVerdict, SetBijection, _verdict, is_phi_isomorphism  # noqa: F401
 from .model import FiniteSet, LinearForm, clear_denominators, integer_columns
 from .simplex import feasible_point
@@ -115,7 +115,7 @@ def _base_encode(columns: list, form: LinearForm) -> tuple[list, EmbeddingParams
 def _finish(
     A: FiniteSet,
     form: LinearForm,
-    akeys: list,
+    akeys: np.ndarray,
     scale: int,
     raw_values: list,
     method: str,
@@ -124,7 +124,8 @@ def _finish(
     """Translate positive, build the pairing, and verify it exhaustively:
     the route's keys of A and their scale, as images.form_keys(form, A)
     gives them, against B's, by the comparison is_phi_isomorphism makes.
-    The pairing carries both tables and the verdict, for the induced map."""
+    The pairing carries both tables, the verdict and the runs it found,
+    for the induced map."""
     raw = FiniteSet(raw_values)
     if len(raw) != len(raw_values):
         raise CertificateError(f"{method} produced colliding images")
@@ -132,13 +133,15 @@ def _finish(
     rank = {v: i for i, v in enumerate(raw)}
     B = translate_positive(raw)
     mapping = SetBijection(A, B, tuple(rank[v] for v in raw_values))
-    bkeys, bscale = form_keys(form, mapping.mapped_elements())
-    certificate, forward = _verdict(akeys, bkeys, len(A), form.arity)
+    # B is integers: one integer column, already cleared
+    b = mapping.mapped_elements()
+    bkeys, bscale = form_keys(form, b, ([b], 1))
+    certificate, runs = _verdict(akeys, bkeys, len(A), form.arity)
     if not certificate.is_isomorphism:
         raise CertificateError(
             f"{method} certificate failed at witness {certificate.witness}"
         )
-    tables = (form, certificate, forward, akeys, bkeys, (scale, bscale))
+    tables = (form, certificate, akeys, bkeys, runs, (scale, bscale))
     object.__setattr__(mapping, "_tables", tables)
     return RealizationResult(B, method, certificate, mapping, params)
 
@@ -254,7 +257,7 @@ def realize_dirichlet(A: FiniteSet, form: LinearForm, q_bound: int = 10**9) -> R
     h = iform.arity
     phi_star = int(iform.max_abs_coeff())
     try:
-        order = image_order(dict.fromkeys(keys), scale, A.basis)
+        order = ordered_keys(keys, scale, A.basis)
     except ValueError as exc:
         raise ApproximationError(f"cannot order the form image: {exc}") from None
     elems = A.elements
@@ -361,13 +364,13 @@ def realize_lp(A: FiniteSet, form: LinearForm) -> RealizationResult:
     # group the tuples' coefficient vectors by the key of their value
     keys, scale = form_keys(iform, A.elements)
     groups = defaultdict(set)
-    for tup, key in zip(itertools.product(range(k), repeat=h), keys):
+    for tup, key in zip(itertools.product(range(k), repeat=h), key_list(keys)):
         v = [0] * k
         for c, i in zip(coeffs, tup):
             v[i] += c
         groups[key].add(tuple(v))
     try:
-        order = image_order(groups, scale, A.basis)
+        order = ordered_keys(keys, scale, A.basis)
     except ValueError as exc:
         raise ApproximationError(f"cannot order the form values: {exc}") from None
     classes = [sorted(groups[key]) for key in order]

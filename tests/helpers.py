@@ -4,6 +4,8 @@ The oracles here deliberately avoid the library's evaluation paths: they
 loop over ordered tuples directly with itertools.product, so agreement with
 the package is meaningful evidence. ``key_walk`` alone reads the package's
 integer keys, because it checks how they are compared, not how they are made.
+``key_table`` turns plain Python keys into a key array, the inverse of
+``addcomb.images.key_list``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from addcomb import (
     BasisDecl,
     CertificateError,
@@ -24,7 +28,7 @@ from addcomb import (
     LinearForm,
     realize,
 )
-from addcomb.images import form_keys
+from addcomb.images import form_keys, key_list
 from addcomb.simplex import SimplexStats
 
 SQRT2 = 1.4142135623730951
@@ -106,6 +110,15 @@ def value_walk(form: LinearForm, f):
     return *_walk(avals, bvals, len(f.domain), form.arity), avals, bvals
 
 
+def key_table(keys, rows: int):
+    """Plain keys (ints for one row, int tuples of that many entries for
+    several) as a key array with a row per coordinate: int64 when every
+    entry fits, dtype=object past it."""
+    columns = [list(keys)] if rows == 1 else [[key[i] for key in keys] for i in range(rows)]
+    fits = all(-(2**63) <= n < 2**63 for col in columns for n in col)
+    return np.array(columns, dtype=np.int64 if fits else object).reshape(rows, len(keys))
+
+
 def key_walk(form: LinearForm, f):
     """The coincidence walk over the integer keys of ``images.form_keys``.
 
@@ -116,7 +129,7 @@ def key_walk(form: LinearForm, f):
     """
     akeys, sa = form_keys(form, f.domain.elements)
     bkeys, sb = form_keys(form, f.mapped_elements())
-    return *_walk(akeys, bkeys, len(f.domain), form.arity), (sa, sb)
+    return *_walk(key_list(akeys), key_list(bkeys), len(f.domain), form.arity), (sa, sb)
 
 
 def value_induced_bijection(form: LinearForm, f) -> InducedMap:

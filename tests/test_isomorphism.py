@@ -37,6 +37,8 @@ from helpers import (
     BASIS_UNIT,
     ORACLE_FORMS,
     SET_KINDS,
+    key_list,
+    key_table,
     naive_multiplicities,
     random_form,
     random_int_set,
@@ -349,6 +351,21 @@ class TestIntegerKeysAgainstValueWalk:
 
             return make
 
+        def bump_codomain_runs(key_runs):
+            """key_runs, except that every second call (the codomain
+            side's) counts the key of the last column once more."""
+            made = []
+
+            def runs(table):
+                first, counts, run = key_runs(table)
+                made.append(table)
+                if len(made) % 2 == 0:
+                    counts = counts.copy()
+                    counts[run[-1]] += 1
+                return first, counts, run
+
+            return runs
+
         rng = random.Random(43)
         checked = 0
         for i in range(40):
@@ -356,7 +373,9 @@ class TestIntegerKeysAgainstValueWalk:
             if not is_phi_isomorphism(form, f).is_isomorphism:
                 continue
             checked += 1
-            monkeypatch.setattr(isomorphism, "Counter", bump_codomain_count(isomorphism.Counter))
+            # a pairing that carries no certificate runs, so _verdict counts anew
+            f = SetBijection(f.domain, f.codomain, f.perm)
+            monkeypatch.setattr(isomorphism, "key_runs", bump_codomain_runs(isomorphism.key_runs))
             monkeypatch.setattr(helpers, "Counter", bump_codomain_count(helpers.Counter))
             want = induced_or_error(value_induced_bijection, form, f)
             assert isinstance(want, CertificateError)
@@ -395,16 +414,21 @@ def test_pair_set_comparison_matches_the_key_walk():
     for i in range(2400):
         form, f = comparison_case(rng, ("rational", "symbolic-3")[i % 2])
         want, walk_forward, (sa, sb) = helpers.key_walk(form, f)
-        verdict, forward = isomorphism._coincidences(form, f)[:2]
+        verdict, akeys, bkeys, runs, _ = isomorphism._coincidences(form, f)
         assert verdict == want
         if not verdict.is_isomorphism:
             failing += 1
             continue
         isos += 1
-        assert list(forward.items()) == [(a, b) for a, (b, _) in walk_forward.items()]
-        xkeys = images.image_order(walk_forward, sa, f.domain.basis)
-        xs = images.decode(xkeys, sa, f.domain.basis)
-        ys = images.decode([walk_forward[x][0] for x in xkeys], sb, f.codomain.basis)
+        xkeys, _, ykeys, _ = isomorphism._paired_runs(akeys, bkeys, runs)
+        assert list(zip(key_list(xkeys), key_list(ykeys))) == [
+            (a, b) for a, (b, _) in walk_forward.items()
+        ]
+        wx = key_table(list(walk_forward), len(xkeys))
+        wy = key_table([b for b, _ in walk_forward.values()], len(ykeys))
+        order = images.image_order(wx, sa, f.domain.basis)
+        xs = images.decode(wx[:, order], sa, f.domain.basis)
+        ys = images.decode(wy[:, order], sb, f.codomain.basis)
         assert [(x, y) for x, y, _ in induced_bijection(form, f).pairs] == list(zip(xs, ys))
     assert failing >= 800 and isos >= 400
 

@@ -23,6 +23,8 @@ from helpers import (
     BASIS_UNIT,
     SET_KINDS,
     float_order,
+    key_list,
+    key_table,
     random_form,
     random_int_set,
     random_rational,
@@ -89,13 +91,13 @@ class TestRealOrder:
                 basis.element([random_rational(rng, 4, 2) for _ in range(basis.dimension)])
                 for _ in range(rng.randint(1, 8))
             ]
-            keys, scale = form_keys(random_form(rng, 2), values)
-            keys = list(dict.fromkeys(keys))
+            table, scale = form_keys(random_form(rng, 2), values)
+            keys = key_table(list(dict.fromkeys(key_list(table))), basis.dimension)
             decoded = decode(keys, scale, basis)
             cases = (
                 (_outcome(lambda: list(FiniteSet(values))), _outcome(lambda: float_order(values))),
                 (
-                    _outcome(lambda: decode(image_order(keys, scale, basis), scale, basis)),
+                    _outcome(lambda: decode(keys[:, image_order(keys, scale, basis)], scale, basis)),
                     _outcome(lambda: float_order(decoded)),
                 ),
             )
@@ -123,10 +125,11 @@ class TestRealOrder:
             elements = list(A.elements)
             rng.shuffle(elements)
             digest.update(repr(FiniteSet(elements).elements).encode())
-            keys, scale = form_keys(random_form(rng, 3), A.elements)
-            keys = list(dict.fromkeys(keys))
+            table, scale = form_keys(random_form(rng, 3), A.elements)
+            keys = list(dict.fromkeys(key_list(table)))
             rng.shuffle(keys)
-            digest.update(repr(image_order(keys, scale, A.basis)).encode())
+            keys = key_table(keys, len(table))
+            digest.update(repr(key_list(keys[:, image_order(keys, scale, A.basis)])).encode())
         assert digest.hexdigest() == (
             "5e4cc22d44c1210f0c4fbe2ca029340babaaed348829240165caaabbc0030b18"
         )
@@ -136,9 +139,11 @@ class TestRealOrder:
         big, small = (BASIS_UNIT.element((2**53 + n,)) for n in (1, 0))
         assert FiniteSet([big, small]).elements == (small, big)
         assert small < big and not big < small and 2**53 < big
-        assert image_order([2**53 + 1, 2**53], 1, BASIS_UNIT) == [2**53, 2**53 + 1]
+        assert image_order(key_table([2**53 + 1, 2**53], 1), 1, BASIS_UNIT).tolist() == [1, 0]
 
     def test_no_float_is_computed(self, monkeypatch):
+        """No value is turned into a float to be ordered: only the keys'
+        float dot products are, inside key_order's error bound."""
         def refuse(x):
             raise AssertionError("a float was computed to order symbolic reals")
 
@@ -148,9 +153,9 @@ class TestRealOrder:
             BASIS_SQRT23.element((n, rng.randint(-2, 2), rng.randint(-2, 2))) for n in range(20)
         ]
         assert len(FiniteSet(values + values[::3])) == 20
-        keys, scale = form_keys(LinearForm((1, 1, -1)), values)
-        keys = list(dict.fromkeys(keys))
-        assert sorted(image_order(keys, scale, BASIS_SQRT23)) == sorted(keys)
+        table, scale = form_keys(LinearForm((1, 1, -1)), values)
+        keys = key_table(list(dict.fromkeys(key_list(table))), 3)
+        assert sorted(image_order(keys, scale, BASIS_SQRT23).tolist()) == list(range(keys.shape[1]))
 
     @pytest.mark.parametrize(
         "coords",

@@ -316,7 +316,7 @@ class TestRealizeDirichlet:
             for form in REALIZATION_FORMS + (LinearForm((Fraction(1, 3), Fraction(-2, 5))),):
                 iform, _ = clear_denominators(form)
                 keys, scale = images.form_keys(iform, A.elements)
-                order = images.image_order(dict.fromkeys(keys), scale, A.basis)
+                order = images.ordered_keys(keys, scale, A.basis)
                 got = realization._key_floats(order, scale, A.basis)
                 want = [float(x) for x in form_image(iform, A).image]
                 assert [x.hex() for x in got] == [x.hex() for x in want], (A, form)
