@@ -8,12 +8,15 @@ For each seed it builds the certify workload's inputs from
 and runs the first --ops (default 240) of them in one process, each with
 the steps of the workload's op: the group route (``realize``), the induced
 map (``induced_bijection``), and for integer sets ``is_mstd`` and the MPTQ
-mirror. It prints, per set kind (integer, rational, symbolic) and form
-arity, the number of ops, their total seconds, the part of it in
-``realize`` and in ``induced_bijection``, and the p50 / p90 of the op time,
-then one line with the same totals over all ops. Last, per set kind, it
-counts the ``model.key_order`` calls (calls, not keys) whose order the
-float error bound settled and those that went to the exact intervals.
+mirror. Between ops, outside the timed region, it runs the workload's
+``check`` on each output, as the benchmark does; the check evicts numpy's
+code and data, so ops timed back to back would read too fast. It prints,
+per set kind (integer, rational, symbolic) and form arity, the number of
+ops, their total seconds, the part of it in ``realize`` and in
+``induced_bijection``, and the p50 / p90 of the op time, then one line
+with the same totals over all ops. Last, per set kind, it counts the
+``model.key_order`` calls (calls, not keys) whose order the float error
+bound settled and those that went to the exact intervals.
 """
 
 import argparse
@@ -29,18 +32,22 @@ from addcomb import images, isomorphism, model, mptq, realization  # noqa: E402
 from perfbench.workloads import Certify, certify_schedule  # noqa: E402
 
 
-def time_op(op) -> tuple[float, float, float]:
-    """Seconds of one certify op, of its realize and of its induced map."""
+def time_op(op) -> tuple[tuple[float, float, float], tuple]:
+    """Seconds of one certify op, of its realize and of its induced map,
+    and the op's output as ``Certify.run`` returns it."""
     A, form, base = op
     t0 = time.perf_counter()
     r = realization.realize(A, form, "group")
     t1 = time.perf_counter()
-    isomorphism.induced_bijection(form, r.mapping)
+    induced = isomorphism.induced_bijection(form, r.mapping)
     t2 = time.perf_counter()
+    mirror = None
     if base is not None:
-        images.is_mstd(A)
-        mptq.product_quotient_counts(mptq.exp_transport(A, base))
-    return time.perf_counter() - t0, t1 - t0, t2 - t1
+        mirror = (
+            images.is_mstd(A),
+            mptq.product_quotient_counts(mptq.exp_transport(A, base)),
+        )
+    return (time.perf_counter() - t0, t1 - t0, t2 - t1), (r, induced, mirror)
 
 
 def totals(times: list) -> str:
@@ -73,7 +80,11 @@ def main(argv) -> None:
             for i, op in enumerate(workload.ops[: args.ops]):
                 kind, coeffs, _ = certify_schedule(i)
                 tally = orders[kind]
-                seconds[kind, len(coeffs)].append(time_op(op))
+                times, out = time_op(op)
+                seconds[kind, len(coeffs)].append(times)
+                problems = workload.check(op, out)
+                if problems:
+                    raise SystemExit(f"seed {seed} op {i}: " + "; ".join(problems))
     finally:
         model._float_order = float_order
     print(f"seeds {args.seeds}, {args.ops} ops each")

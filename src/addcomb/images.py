@@ -7,18 +7,22 @@ Sumsets and difference sets are the h = 2 special cases.
 Form values are computed here, for the whole package, as exact integer keys
 that coincide where the values do: one numpy key table per form and set, a
 row per integer column and a column per ordered tuple. Equal keys are found
-by one sort of the table (key_runs), keys are ordered as they are, and only
-a shown key is decoded.
+by one sort of the table packed into one exact row (key_runs); the sort
+need not be stable, since each key's first-seen column is recovered from
+its run in linear time. Keys are ordered as they are, and only a shown key
+is decoded.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
+    INT64_BOUND,
     SMALL_TABLE,
     DIFFERENCE_FORM,
     SUM_FORM,
@@ -70,13 +74,35 @@ def _small_key_runs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return packed[:d], packed[d : 2 * d], packed[2 * d :]
 
 
+def _packed_row(table: np.ndarray) -> np.ndarray:
+    """A key table as one row whose entries are equal exactly where the
+    table's columns are: a table of several rows becomes one mixed-radix
+    row, each row less its minimum, by Horner's rule over the row spans.
+    The spans and their product are Python ints, found before any int64
+    arithmetic: the row is int64 while the product is below 2^63, and the
+    table is converted to dtype=object (Python ints) past it, before the
+    subtraction, so no entry can wrap."""
+    if len(table) == 1:
+        return table[0]
+    lows = table.min(axis=1).tolist()
+    spans = [high - low + 1 for low, high in zip(lows, table.max(axis=1).tolist())]
+    if math.prod(spans) >= INT64_BOUND:
+        table = table.astype(object)
+    row = table[0] - lows[0]
+    for line, low, span in zip(table[1:], lows[1:], spans[1:]):
+        row *= span
+        row += line - low
+    return row
+
+
 def key_runs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct keys of a key table in first-seen order, by one stable
-    sort of its columns: an argsort of a single row, a lexsort of several.
-    A table of at most SMALL_TABLE columns is grouped by a dict instead,
-    which there costs less than the sort's numpy calls. Every sort here
-    and in key_order is numpy's stable one, whose code is shared by int64
-    and float64 arrays.
+    """The distinct keys of a key table in first-seen order, by one sort:
+    numpy's default argsort of the table as one row (_packed_row). The sort
+    need not be stable: each run's first column is the least position in
+    it, and the first-seen rank of a run is the number of runs' first
+    columns up to its own, one cumsum over a mark of the columns. A table
+    of at most SMALL_TABLE columns is grouped by a dict instead, which
+    there costs less than the sort's numpy calls.
 
     Returns (first, counts, run): the position of each distinct key's
     first column, the number of columns holding it, and for every column
@@ -85,26 +111,26 @@ def key_runs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = table.shape[1]
     if n <= SMALL_TABLE:
         return _small_key_runs(table)
+    row = _packed_row(table)
+    order = row.argsort()
+    ordered = row[order]
     starts = np.empty(n, dtype=bool)
     starts[0] = True
-    if len(table) == 1:
-        order = table[0].argsort(kind="stable")
-        ordered = table[0, order]
-        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    else:
-        order = np.lexsort(table)
-        ordered = table[:, order]
-        np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=starts[1:])
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     heads = starts.nonzero()[0]
     sizes = np.empty_like(heads)
     sizes[:-1] = heads[1:] - heads[:-1]
     sizes[-1] = n - heads[-1]
-    # the sort is stable, so each run starts at its key's first column
-    firsts = order[heads]
-    seen = firsts.argsort(kind="stable")
+    firsts = np.minimum.reduceat(order, heads)
+    # the first columns in column order are the runs in first-seen order
+    mark = np.zeros(n, dtype=bool)
+    mark[firsts] = True
+    seen = mark.cumsum()[firsts] - 1
+    counts = np.empty_like(sizes)
+    counts[seen] = sizes
     run = np.empty(n, dtype=np.intp)
-    run[order] = seen.argsort(kind="stable").repeat(sizes)
-    return firsts[seen], sizes[seen], run
+    run[order] = seen.repeat(sizes)
+    return mark.nonzero()[0], counts, run
 
 
 def key_list(table: np.ndarray) -> list:
@@ -134,9 +160,11 @@ def ordered_keys(table: np.ndarray, scale: int, basis) -> list:
 def image_order(keys: np.ndarray, scale: int, basis) -> np.ndarray:
     """Positions of distinct keys, the columns of a key array, in increasing
     order of their values: rational and dimension-1 keys are integers and
-    sort as such, the others by model.key_order (ValueError on a tie)."""
+    sort as such, by numpy's default sort (the keys are distinct, so any
+    sort gives the one order), the others by model.key_order (ValueError
+    on a tie)."""
     if basis is None or basis.dimension == 1:
-        return keys[0].argsort(kind="stable")
+        return keys[0].argsort()
     return key_order(keys, scale, basis)
 
 

@@ -64,6 +64,18 @@ def key_array(columns) -> np.ndarray:
     return int_array(columns, max(abs(n) for col in columns for n in col))
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), refusing (ValueError) a decimal exponent past
+    Python's limit on the digits of an int string: Fraction would build
+    10^exponent, which takes unbounded time and memory. There is no such
+    check when the limit is 0 (off) or the Python has none."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+    if limit and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
+        raise ValueError(f"exponent past the {limit}-digit limit")
+    return Fraction(text)
+
+
 def as_rational(x) -> Rational:
     """Normalize a rational-valued input: ints stay ints, integral fractions
     collapse to int, anything else must already be a Fraction."""
@@ -74,7 +86,7 @@ def as_rational(x) -> Rational:
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, str):
-        f = Fraction(x)
+        f = parse_fraction(x)
         return int(f) if f.denominator == 1 else f
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -472,7 +484,7 @@ class LinearForm:
         coeffs = []
         for part in text.split(","):
             try:
-                coeffs.append(Fraction(part.strip()))
+                coeffs.append(parse_fraction(part.strip()))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"bad form coefficient {part.strip()!r}") from None
         return cls(tuple(coeffs))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SetFormatError
-from .model import BasisDecl, FiniteSet, RealElement
+from .model import BasisDecl, FiniteSet, RealElement, parse_fraction
 
 
 def _strip(line: str) -> str:
@@ -29,7 +29,7 @@ def _strip(line: str) -> str:
 
 def _parse_rational(token: str, lineno: int) -> Fraction:
     try:
-        return Fraction(token.strip())
+        return parse_fraction(token.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise SetFormatError(f"bad rational {token.strip()!r}: {exc}", lineno) from None
 

@@ -1,7 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import addcomb
 from addcomb import CertificateError, search
 from addcomb.cli import main
 
@@ -281,6 +286,40 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "mstd", str(p))
     assert code == 1
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "text, form, message",
+    [
+        ("1e100000000\n", None, "error: line 1: bad rational '1e100000000': exponent past"),
+        ("0\n1e-100000000\n", None, "error: line 2: bad rational '1e-100000000': exponent past"),
+        (MSTD8, "1e100000000,1", "error: bad form coefficient '1e100000000'"),
+    ],
+    ids=["set-file", "set-file-negative", "form"],
+)
+def test_huge_decimal_exponent_is_refused_at_once(capsys, tmp_path, text, form, message):
+    """Fraction would build 10^100000000 and hang: an exponent past the
+    int-string digit limit is a parse error, one line and exit code 1 in
+    well under a second. The CLI also runs in a child with a timeout, so
+    that a hang fails rather than stalls the suite."""
+    p = tmp_path / "huge.set"
+    p.write_text(text)
+    argv = ["mstd", str(p)] if form is None else ["image", "--form", form, str(p)]
+    src = os.path.dirname(os.path.dirname(addcomb.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-m", "addcomb.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert child.returncode == 1
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, err) == (1, "", child.stderr)
+    assert len(err.splitlines()) == 1 and err.startswith(message)
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

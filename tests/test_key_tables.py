@@ -6,6 +6,7 @@ its witness and the induced pairs must be those of the coincidence walks in
 ``tests/helpers.py``, which never read a key array.
 """
 
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,9 @@ from helpers import (
     value_induced_bijection,
     value_walk,
 )
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 TOP = 2**63
 
@@ -132,9 +136,10 @@ def _dict_runs(keys: list) -> tuple[list, list, list]:
 @pytest.mark.parametrize("n", [1, 9, images.SMALL_TABLE, images.SMALL_TABLE + 1, 700])
 @pytest.mark.parametrize("spread", [3, 2**40, 2**62, 2**70])
 def test_key_runs_matches_a_dict_walk(rows, n, spread):
-    """Every path of key_runs (the dict of a small table, one int64 row,
-    rows packed into one, a lexsort where packing would overflow or the
-    table is dtype=object) gives the dict walk's first-seen runs."""
+    """Every path of key_runs (the dict of a small table; above it, one row
+    sorted as it is, or several rows packed into one int64 row, or into
+    one of Python ints where the product of their spans reaches 2^63 or
+    the table is dtype=object) gives the dict walk's first-seen runs."""
     rng = np.random.default_rng(rows * n + spread % 97)
     picks = rng.integers(0, 12, size=(rows, n)).tolist()
     # few distinct entries per row, spread far apart: keys repeat, and
@@ -144,6 +149,86 @@ def test_key_runs_matches_a_dict_walk(rows, n, spread):
     first, counts, run = images.key_runs(table)
     want = _dict_runs(key_list(table))
     assert (first.tolist(), counts.tolist(), run.tolist()) == want
+
+
+def _spanned_table(ranges, n, seed):
+    """An int64 table of n columns whose rows hold few distinct entries,
+    each row's least and greatest among them: ranges gives the (low, high)
+    of every row."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for low, high in ranges:
+        pool = sorted({low, high, low + (high - low) // 3, high - (high - low) // 5})
+        row = [pool[i] for i in rng.integers(0, len(pool), size=n).tolist()]
+        row[:2] = [low, high]
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+#: (row ranges, dtype of the packed row): span products just below 2^63
+#: and at it, over two and three rows, negative ranges, constant rows and
+#: the int64 extremes
+PACKED_CASES = {
+    "product-2^63-1": ([(-3, 3), (-(2**62), -(2**62) + (2**63 - 1) // 7 - 1)], np.int64),
+    "product-2^63": ([(5, 6), (-(2**61), 2**61 - 1)], object),
+    "three-below-2^63": (
+        [(-(2**20), 2**20 - 1), (0, 2**21 - 1), (-(2**62), -(2**62) + 2**21 - 2)], np.int64
+    ),
+    "three-at-2^63": (
+        [(-(2**20), 2**20 - 1), (0, 2**21 - 1), (-(2**62), -(2**62) + 2**21 - 1)], object
+    ),
+    "negative": ([(-(2**62), -(2**62) + 10), (-100, -90), (-7, -1)], np.int64),
+    "constant-row": ([(7, 7), (-5, 5)], np.int64),
+    "constant-table": ([(7, 7), (-1, -1), (2**62, 2**62)], np.int64),
+    "int64-extremes": ([(-(2**63), 2**63 - 1), (0, 1)], object),
+}
+
+
+@pytest.mark.parametrize("case", PACKED_CASES)
+@pytest.mark.parametrize("n", [images.SMALL_TABLE + 1, 700])
+def test_key_runs_packs_rows_exactly_below_and_at_2_63(case, n):
+    """Several int64 rows pack into one int64 row while the product of the
+    row spans is below 2^63 and into one of Python ints from 2^63 on, and
+    key_runs on that row gives the dict walk's runs."""
+    ranges, dtype = PACKED_CASES[case]
+    assert (math.prod(high - low + 1 for low, high in ranges) < TOP) == (dtype is np.int64)
+    table = _spanned_table(ranges, n, seed=n)
+    row = images._packed_row(table)
+    assert row.dtype == dtype
+    if dtype is object:
+        assert all(type(v) is int for v in row.tolist())
+    first, counts, run = images.key_runs(table)
+    assert first.dtype == counts.dtype == run.dtype == np.intp
+    assert (first.tolist(), counts.tolist(), run.tolist()) == _dict_runs(key_list(table))
+
+
+#: an entry of a few-valued table: small, anywhere in int64, or past it
+_entries = st.sampled_from(
+    [st.integers(-50, 50), st.integers(-(2**63), 2**63 - 1), st.integers(-(2**70), 2**70)]
+)
+
+
+@st.composite
+def few_valued_tables(draw):
+    """1 to 4 rows, each drawing its columns from 1 to 3 values, so equal
+    keys abound; dtype=object when an entry needs it, or by choice."""
+    entry = draw(_entries)
+    height = draw(st.integers(1, 4))
+    pools = [draw(st.lists(entry, min_size=1, max_size=3, unique=True)) for _ in range(height)]
+    n = draw(st.integers(1, 4 * images.SMALL_TABLE))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [[pool[i] for i in rng.integers(0, len(pool), size=n).tolist()] for pool in pools]
+    fits = all(-(2**63) <= v < 2**63 for pool in pools for v in pool)
+    return np.array(rows, dtype=np.int64 if fits and draw(st.booleans()) else object)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(few_valued_tables())
+def test_key_runs_is_the_dict_walk_on_few_valued_tables(table):
+    """An unstable sort permutes equal keys, and here most keys are equal:
+    key_runs must still give the dict walk's first-seen runs."""
+    first, counts, run = images.key_runs(table)
+    assert (first.tolist(), counts.tolist(), run.tolist()) == _dict_runs(key_list(table))
 
 
 def test_the_first_certify_ops_build_no_object_table(monkeypatch):
@@ -166,4 +251,29 @@ def test_the_first_certify_ops_build_no_object_table(monkeypatch):
     for op in workload.ops[:240]:
         workload.run(op)
     assert len(dtypes) >= 480
+    assert set(dtypes) == {np.dtype(np.int64)}
+
+
+def test_the_first_certify_ops_pack_rows_only_into_int64(monkeypatch):
+    """A spy on images._packed_row over the first 240 certify ops of seed
+    1, as the benchmark runs them: every table of several rows that
+    key_runs sorts is packed into an int64 row, never into Python ints."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import Certify
+
+    dtypes = []
+    real = images._packed_row
+
+    def spy(table):
+        row = real(table)
+        if len(table) > 1:
+            dtypes.append(row.dtype)
+        return row
+
+    workload = Certify(1)
+    monkeypatch.setattr(images, "_packed_row", spy)
+    for op in workload.ops[:240]:
+        workload.run(op)
+    assert len(dtypes) >= 80
     assert set(dtypes) == {np.dtype(np.int64)}

@@ -2,6 +2,7 @@ import hashlib
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,22 @@ class TestLinearForm:
         for text in ("1/0", "1, x"):
             with pytest.raises(ValueError, match="bad form coefficient"):
                 LinearForm.parse(text)
+
+    def test_exponents_past_the_digit_limit_are_refused(self, monkeypatch):
+        """Up to sys.get_int_max_str_digits() an exponent parses; past it
+        (10^exponent would take unbounded time) it is a ValueError, from
+        LinearForm.parse and from a str given as a scalar, and with the
+        limit off (0) there is no check."""
+        assert LinearForm.parse("1e-3, 2E+2").coeffs == (Fraction(1, 1000), 200)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 40)
+        assert LinearForm((" 1e4_0 ", "-1e-40")).coeffs == (10**40, Fraction(-1, 10**40))
+        for text in ("1e41", "2.5E-41", "1e1_000_000_000_000"):
+            with pytest.raises(ValueError, match="bad form coefficient"):
+                LinearForm.parse(text)
+            with pytest.raises(ValueError, match="exponent past the 40-digit limit"):
+                LinearForm((text,))
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert LinearForm(("1e41",)).coeffs == (10**41,)
 
     def test_evaluate(self):
         f = LinearForm((2, 3))
