@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Iterator
+from itertools import islice
 
 from .errors import (
     ApproximationError,
@@ -28,6 +30,7 @@ from .search import (
     SearchConfig,
     default_jobs,
     enumerate_mstd,
+    mask_text,
     sum_diff_counts,
     triple_form_scan,
 )
@@ -154,6 +157,26 @@ def _cmd_realize(args) -> int:
     return 0 if status == "OK" else 3
 
 
+#: the most records `_cmd_search` joins into one write
+RECORD_CHUNK = 1 << 16
+
+
+def _search_records(classes, recount: bool) -> Iterator[str]:
+    """The lines `search` prints for the (class, c1, c2) a scan returns,
+    or with `recount` for bare classes, counted by `sum_diff_counts`."""
+    if recount:
+        classes = ((cs, *sum_diff_counts(cs.bits)) for cs in classes)
+    return (f"{mask_text(cs.bits)}\t{c1}\t{c2}\n" for cs, c1, c2 in classes)
+
+
+def _write_records(lines, out) -> None:
+    """Write `lines` to `out`, joined RECORD_CHUNK at a time, so a large
+    scan neither writes once per line nor builds one string of them all."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, RECORD_CHUNK)):
+        out.write("".join(chunk))
+
+
 def _cmd_search(args) -> int:
     cfg = SearchConfig(
         max_diameter=args.max_diameter,
@@ -163,17 +186,20 @@ def _cmd_search(args) -> int:
     t0 = time.perf_counter()
     jobs = default_jobs() if args.jobs is None else args.jobs
     if args.mode == "mstd":
-        for cs in enumerate_mstd(cfg, jobs=jobs):
-            s, d = sum_diff_counts(cs.bits)
-            print(f"{cs}\t{s}\t{d}")
+        classes = enumerate_mstd(cfg, jobs=jobs)
     else:
-        for cs, c1, c2 in triple_form_scan(cfg, report_equal=args.report_equal, jobs=jobs):
-            print(f"{cs}\t{c1}\t{c2}")
+        classes = triple_form_scan(cfg, report_equal=args.report_equal, jobs=jobs)
+    t1 = time.perf_counter()
+    _write_records(_search_records(classes, args.mode == "mstd"), sys.stdout)
     if args.stats:
-        dt = time.perf_counter() - t0
+        t2 = time.perf_counter()
         # with --require-endpoints the kernel tests only the sets holding n
         examined = 1 << (cfg.max_diameter - cfg.require_endpoints)
-        print(f"examined={examined} wall={dt:.3f}s", file=sys.stderr)
+        print(
+            f"examined={examined} wall={t2 - t0:.3f}s classes={len(classes)} "
+            f"scan={t1 - t0:.3f}s records={t2 - t1:.3f}s",
+            file=sys.stderr,
+        )
     return 0
 
 

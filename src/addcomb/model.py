@@ -65,15 +65,24 @@ def key_array(columns) -> np.ndarray:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Fraction(text), refusing (ValueError) a decimal exponent past
-    Python's limit on the digits of an int string: Fraction would build
-    10^exponent, which takes unbounded time and memory. There is no such
-    check when the limit is 0 (off) or the Python has none."""
+    """Fraction(text), refusing (ValueError) a decimal past Python's limit
+    on the digits of an int string: an exponent past it, for which
+    Fraction would build 10^exponent in unbounded time and memory, and a
+    value whose numerator or denominator has more digits than it, which
+    could be read but never printed. There is no such check when the limit
+    is 0 (off) or the Python has none."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
     digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
     if limit and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
         raise ValueError(f"exponent past the {limit}-digit limit")
-    return Fraction(text)
+    f = Fraction(text)
+    if limit and digits:
+        # without an exponent, Fraction's own int parsing keeps to the limit;
+        # 10^limit has more than 3 * limit bits, so smaller ints skip the power
+        big = max(abs(f.numerator), f.denominator)
+        if big.bit_length() > 3 * limit and big >= 10**limit:
+            raise ValueError(f"value past the {limit}-digit limit")
+    return f
 
 
 def as_rational(x) -> Rational:

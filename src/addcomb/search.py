@@ -9,10 +9,12 @@ within TASK_WORDS. One level-wise build from {0} serves every level: the
 scan builds the subsets of {0..m} containing 0 once, in one slab, with
 m = max(p, n - p - 2), and each task is a contiguous block of the slab that
 the array kernel `_chunk` extends over {m+1..n}. `_build` doubles uint64
-arrays once per element; `_chunk` tests every set with a vectorised
-popcount, keeping 3A and 2A-A (up to 3n+1 bits) in two words each.
-`_task_hits` hands the tasks to a process pool when the scan is large
-enough to repay one; `_classes` dedups the hits in array operations.
+arrays once per element, `_add_element` writing each new row pair by one
+shift into place and one OR of the old pair; `_chunk` tests every set with
+a vectorised popcount, keeping 3A and 2A-A (up to 3n+1 bits) in two words
+each. `_task_hits` hands the tasks to a process pool when the scan is
+large enough to repay one; `_classes` dedups the hits in array operations,
+and `mask_text` writes a class's elements from one lookup per mask byte.
 
 The reflection trick: rmask keeps the elements mirrored at fixed width n,
 so when element a joins, the new differences {a - a' : a' in A} are one
@@ -114,7 +116,7 @@ class CanonicalSet:
         return FiniteSet(self.elements)
 
     def __str__(self):
-        return ",".join(str(e) for e in self.elements)
+        return mask_text(self.bits)
 
 
 def mask_of(elements) -> int:
@@ -133,6 +135,26 @@ def mask_elements(mask: int) -> tuple:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+#: _BYTE_TEXTS[i][v] is the text of the elements 8i + j of a mask whose
+#: byte i is v; byte positions are added on first use
+_BYTE_TEXTS: list = []
+
+
+def mask_text(mask: int) -> str:
+    """The elements of `mask` as "0,2,3,...", the text of
+    ",".join(map(str, mask_elements(mask))), from one lookup per byte."""
+    global _BYTE_TEXTS
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    texts = _BYTE_TEXTS
+    if len(texts) < len(data):
+        # a new list, not appends, so a reader never sees a half-built one
+        texts = _BYTE_TEXTS = texts + [
+            [",".join(str(8 * i + j) for j in range(8) if v >> j & 1) for v in range(256)]
+            for i in range(len(texts), len(data))
+        ]
+    return ",".join([t[v] for t, v in zip(texts, data) if v])
 
 
 def sum_diff_counts(mask: int) -> tuple[int, int]:
@@ -170,8 +192,7 @@ def normalize_affine(A: FiniteSet) -> CanonicalSet:
 
 def _add_element(arrays: np.ndarray, old: slice, new: slice, b: int, n: int) -> None:
     """Write the sets of columns `old`, with element b added, into columns
-    `new`, which may be `old` itself: b is above every element, so the rows
-    of `new` first take b's own bits, and every update after reads `new`.
+    `new`, which may be `old` itself (equal slices).
 
     Rows: mask, mirrored mask (bit n-a for element a), A+A and (A-A) << n,
     then for the triple scans 3A and (2A-A) << n in a low word (rows 4, 5)
@@ -181,17 +202,32 @@ def _add_element(arrays: np.ndarray, old: slice, new: slice, b: int, n: int) -> 
       (A'-b) << n, the mask shifted by n-b;
     - 3A' = 3A | 2A'+b and 2A'-A' = 2A-A | (A'-A')+b | 2A'-b, whose term
       2A'-b tops out at bit n+b <= 60, in the low word.
+
+    b is above every element, so each update reads rows of `new` already
+    holding A'. Into other columns, a shifted row pair is written straight
+    into its place (`out=`) and the old pair OR'd in; in place, where that
+    would overwrite the old rows, each shifted row is a temporary.
     """
-    own = np.zeros((len(arrays), 1), np.uint64)
-    own[:2, 0] = 1 << b, 1 << (n - b)
-    np.bitwise_or(arrays[:, old], own, out=arrays[:, new])
-    mask, _, sums, diffs = arrays[:4, new]
-    arrays[2:4, new] |= arrays[:2, new] << b
+    src, dst = arrays[:, old], arrays[:, new]
+    in_place = old == new
+
+    def gain(to: int, frm: int, shift, k: int) -> None:
+        """Rows to, to+1 gain rows frm, frm+1 of A', shifted by k."""
+        if in_place:  # one row at a time, for a temporary of one row
+            dst[to] |= shift(dst[frm], k)
+            dst[to + 1] |= shift(dst[frm + 1], k)
+        else:
+            shift(dst[frm : frm + 2], k, out=dst[to : to + 2])
+            dst[to : to + 2] |= src[to : to + 2]
+
+    np.bitwise_or(src[0], 1 << b, out=dst[0])
+    np.bitwise_or(src[1], 1 << (n - b), out=dst[1])
+    gain(2, 0, np.left_shift, b)
     if len(arrays) > 4:
-        diffs |= mask << (n - b)
-        arrays[4:6, new] |= arrays[2:4, new] << b
-        arrays[6:, new] |= arrays[2:4, new] >> (64 - b)
-        arrays[5, new] |= sums << (n - b)
+        dst[3] |= dst[0] << (n - b)
+        gain(4, 2, np.left_shift, b)
+        gain(6, 2, np.right_shift, 64 - b)
+        dst[5] |= dst[2] << (n - b)
 
 
 def _hits(arrays: np.ndarray, cfg: SearchConfig, scan: str) -> tuple:

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import addcomb
-from addcomb import CertificateError, search
+from addcomb import CertificateError, cli, search
 from addcomb.cli import main
 
 MSTD8 = "0\n2\n3\n4\n7\n11\n12\n14\n"
@@ -243,6 +243,39 @@ def test_search_stats_count_only_sets_with_both_endpoints(capsys):
     assert "examined=128 " in err
 
 
+def test_search_stats_split_the_phases(capsys):
+    """The phase keys follow examined= and wall= in order: the class count,
+    the scan and the records, whose times add up to the wall time."""
+    argv = ("search", "triple", "--max-diameter", "8", "--report-equal", "--stats")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == 50
+    fields = dict(word.split("=") for word in err.split())
+    assert list(fields) == ["examined", "wall", "classes", "scan", "records"]
+    assert err.startswith("examined=256 ") and fields["classes"] == "50"
+    wall, scan, records = (float(fields[k].removesuffix("s")) for k in ("wall", "scan", "records"))
+    assert abs(wall - scan - records) <= 0.0015
+    code, out, err = run(capsys, "search", "mstd", "--max-diameter", "8", "--stats")
+    assert (code, out) == (0, "") and " classes=0 scan=" in err
+
+
+def test_search_records_are_written_in_chunks(capsys, monkeypatch):
+    """Records go out RECORD_CHUNK lines at a time, one write each, with
+    the same text as in one piece."""
+    argv = ("search", "triple", "--max-diameter", "8", "--report-equal")
+    _, whole, _ = run(capsys, *argv)
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(cli, "RECORD_CHUNK", 7)
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(list(argv)) == 0
+    assert "".join(writes) == whole
+    assert [w.count("\n") for w in writes] == [7] * 7 + [1]
+
+
 def test_search_triple(capsys):
     code, out, _ = run(capsys, "search", "triple", "--max-diameter", "6")
     assert code == 0
@@ -320,6 +353,35 @@ def test_huge_decimal_exponent_is_refused_at_once(capsys, tmp_path, text, form, 
     assert time.perf_counter() - t0 < 1.0
     assert (code, out, err) == (1, "", child.stderr)
     assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv, text, form",
+    [
+        (("image", "--form", "1,1"), "0\n1e{limit}\n", None),
+        (("realize", "--form", "1,1"), "0\n1e{limit}\n", None),
+        (("image", "--form", "1e{limit},1"), "0\n1\n", "1e{limit}"),
+    ],
+    ids=["image", "realize", "form"],
+)
+def test_value_past_the_digit_limit_is_one_line(capsys, tmp_path, argv, text, form):
+    """10^limit has one digit more than Python prints: it is refused where
+    it is read, with the line or the coefficient named, and 10^(limit-1)
+    goes through."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no digit limit in this interpreter")
+    p = tmp_path / "big.set"
+    p.write_text(text.format(limit=limit))
+    code, out, err = run(capsys, *(a.format(limit=limit) for a in argv), str(p))
+    if form is None:
+        want = f"error: line 2: bad rational '1e{limit}': value past the {limit}-digit limit\n"
+    else:
+        want = f"error: bad form coefficient '{form.format(limit=limit)}'\n"
+    assert (code, out, err) == (1, "", want)
+    p.write_text(text.format(limit=limit - 1))
+    code, out, err = run(capsys, *(a.format(limit=limit - 1) for a in argv), str(p))
+    assert code == 0 and err == ""
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -17,6 +17,7 @@ from addcomb import (
     signed_form,
 )
 from addcomb.images import decode, form_keys, image_order
+from addcomb.model import parse_fraction
 from helpers import (
     BASIS_GHOST,
     BASIS_SQRT2,
@@ -263,7 +264,9 @@ class TestLinearForm:
         limit off (0) there is no check."""
         assert LinearForm.parse("1e-3, 2E+2").coeffs == (Fraction(1, 1000), 200)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 40)
-        assert LinearForm((" 1e4_0 ", "-1e-40")).coeffs == (10**40, Fraction(-1, 10**40))
+        # 10^39 has 40 digits; 10^40, at an exponent within the limit, is
+        # refused for its 41 digits (the test below)
+        assert LinearForm((" 1e3_9 ", "-1e-39")).coeffs == (10**39, Fraction(-1, 10**39))
         for text in ("1e41", "2.5E-41", "1e1_000_000_000_000"):
             with pytest.raises(ValueError, match="bad form coefficient"):
                 LinearForm.parse(text)
@@ -271,6 +274,32 @@ class TestLinearForm:
                 LinearForm((text,))
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         assert LinearForm(("1e41",)).coeffs == (10**41,)
+
+    def test_values_past_the_digit_limit_are_refused(self, monkeypatch):
+        """An exponent within the limit still gives a value that could not
+        be printed if its numerator or denominator, reduced, has more digits
+        than sys.get_int_max_str_digits(): such a value is a ValueError
+        too, and one with as many digits as the limit parses."""
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 40)
+        parsed = {
+            "1e39": 10**39,
+            "-1E-39": Fraction(-1, 10**39),
+            "1.5e39": 15 * 10**38,
+            "9.99e+39": 999 * 10**37,
+            "5e-40": Fraction(1, 2 * 10**39),
+            "0e40": 0,
+            "1_0e38": 10**39,
+        }
+        for text, value in parsed.items():
+            assert parse_fraction(text) == value, text
+            assert LinearForm((text, 1)).coeffs == (value, 1), text
+        for text in ("1e40", "-1e-40", "12e39", "10.0e39", "1e4_0", "0.1e-39"):
+            with pytest.raises(ValueError, match="value past the 40-digit limit"):
+                parse_fraction(text)
+            with pytest.raises(ValueError, match="bad form coefficient"):
+                LinearForm.parse(text)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert parse_fraction("1e40") == 10**40
 
     def test_evaluate(self):
         f = LinearForm((2, 3))

@@ -60,6 +60,19 @@ def test_script_main_runs(name, argv, heads, monkeypatch, capsys):
         assert any(line.startswith(head) for line in lines), (head, lines)
 
 
+def test_scan_times_prints_three_stages(monkeypatch, capsys):
+    """Each scan kind's line ends with the kernel, dedup and records
+    medians, in that order."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    load_script("scan_times").main(["8"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[2] for line in lines] == ["mstd", "triple", "equal"]
+    for line in lines:
+        stages = [word.split("=")[0] for word in line.split() if "=" in word][-3:]
+        assert stages == ["kernel", "dedup", "records"], line
+    assert "classes=50 " in lines[2]
+
+
 @pytest.mark.parametrize("argv", [["mtsd", "8"], []])
 def test_pool_break_even_refuses_an_unknown_kind(argv, capsys):
     """A misspelt scan kind, or none, is a usage error, not a timing of

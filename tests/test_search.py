@@ -24,9 +24,13 @@ from addcomb import search
 from addcomb.search import (
     mask_elements,
     mask_of,
+    mask_text,
     sum_diff_counts,
     worker_count,
 )
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 @pytest.fixture
@@ -71,6 +75,37 @@ class TestMaskKernel:
             s, d = sum_diff_counts(mask_of(els))
             assert s == form_image(LinearForm((1, 1)), A).size
             assert d == form_image(LinearForm((1, -1)), A).size
+
+
+class TestMaskText:
+    """The record text of a mask from byte lookups, against the text of its
+    elements one by one."""
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, (1 << 31) - 1))
+    @hypothesis.example(0)
+    @hypothesis.example(1)
+    @hypothesis.example((1 << 31) - 1)
+    @hypothesis.example(1 << 7)
+    @hypothesis.example(1 << 8)
+    @hypothesis.example(1 << 15)
+    @hypothesis.example(1 << 16)
+    @hypothesis.example(1 << 23)
+    @hypothesis.example(1 << 24)
+    @hypothesis.example(1 << 30)
+    @hypothesis.example(1 << 7 | 1 << 8 | 1 << 23 | 1 << 24)
+    def test_matches_the_elements_one_by_one(self, mask):
+        assert mask_text(mask) == ",".join(map(str, mask_elements(mask)))
+
+    def test_past_the_search_masks(self):
+        # library callers may hold any nonnegative mask; new byte positions
+        # join the table on first use
+        for mask in (1 << 64, 1 << 200 | 5, (1 << 100) - 1):
+            assert mask_text(mask) == ",".join(map(str, mask_elements(mask)))
+
+    def test_canonical_set_prints_it(self):
+        assert str(normalize_affine(CANONICAL_MSTD8)) == "0,2,3,4,7,11,12,14"
+        assert str(search.CanonicalSet(0)) == ""
 
 
 class TestNormalizeAffine:
@@ -282,6 +317,62 @@ def set_rows(mask: int, n: int, scan: str) -> list:
     mixed = functools.reduce(int.__or__, ((sums << n) >> a for a in els))
     low = (1 << 64) - 1
     return rows + [triple & low, mixed & low, triple >> 64, mixed >> 64]
+
+
+class TestAddElement:
+    """`_add_element` into other columns and in place, against every row
+    recomputed by `set_rows`, for the 4 rows of "mstd" and the 8 of the
+    triple scans at the largest diameter, where A+A reaches bit 60 and 3A
+    bit 90."""
+
+    N = 30
+
+    @staticmethod
+    def old_masks(b: int) -> list:
+        """Sets holding 0 below b: {0}, all of {0..b-1}, sparse and dense."""
+        rng = random.Random(b)
+        masks = [1, (1 << b) - 1]
+        masks += [1 | rng.getrandbits(b) for _ in range(12)]
+        masks += [mask_of({0, *rng.sample(range(b), min(b, 3))}) for _ in range(6)]
+        return masks
+
+    def columns(self, masks, scan) -> np.ndarray:
+        return np.array([set_rows(m, self.N, scan) for m in masks], np.uint64).T
+
+    def expected(self, masks, b, scan) -> list:
+        return [set_rows(m | 1 << b, self.N, scan) for m in masks]
+
+    @pytest.mark.parametrize("scan", ["mstd", "triple"])
+    @pytest.mark.parametrize("b", [1, 2, 9, 17, 23, 29, 30])
+    def test_into_other_columns(self, scan, b):
+        masks = self.old_masks(b)
+        k = len(masks)
+        old = self.columns(masks, scan)
+        # stale bits where the new sets go: every row must be overwritten
+        arrays = np.concatenate([old, np.full_like(old, 0xA5A5)], axis=1)
+        search._add_element(arrays, slice(0, k), slice(k, 2 * k), b, self.N)
+        assert arrays[:, :k].T.tolist() == [set_rows(m, self.N, scan) for m in masks]
+        assert arrays[:, k:].T.tolist() == self.expected(masks, b, scan)
+
+    @pytest.mark.parametrize("scan", ["mstd", "triple"])
+    @pytest.mark.parametrize("b", [1, 2, 9, 17, 23, 29, 30])
+    def test_in_place(self, scan, b):
+        # as `_chunk` calls it, with two equal slices, and on a part only
+        masks = self.old_masks(b)
+        arrays = self.columns(masks, scan)
+        search._add_element(arrays, slice(None), slice(None), b, self.N)
+        assert arrays.T.tolist() == self.expected(masks, b, scan)
+        arrays = self.columns(masks, scan)
+        search._add_element(arrays, slice(2, 5), slice(2, 5), b, self.N)
+        want = [set_rows(m, self.N, scan) for m in masks]
+        want[2:5] = self.expected(masks[2:5], b, scan)
+        assert arrays.T.tolist() == want
+
+    def test_top_rows_are_reached(self):
+        # the cases above fill the high words and bit 60 of A+A
+        masks = self.old_masks(30)
+        rows = np.array(self.expected(masks, 30, "triple"), dtype=object)
+        assert max(rows[:, 2]) >> 60 and max(rows[:, 6]) and max(rows[:, 7])
 
 
 def chunk_hits(cfg, scan, m, first) -> list:
