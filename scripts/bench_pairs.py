@@ -9,13 +9,17 @@ Each pair runs ``perfbench/run.py --workload W --seed N --seconds S`` once
 in each checkout, as a subprocess whose working directory is that checkout,
 so each run imports the package from its own ``src/``. The parent runs
 first in even pairs and second in odd ones; with several workloads, each
-pair runs them all in turn. The output (stdout, or --out) is one JSON
-object with nproc, the Python and numpy versions and the seed, and per
+pair runs them all in turn. Before the first pair, ``compileall`` writes
+current bytecode for each checkout's ``src/`` and ``perfbench/``, so
+neither side's set-up compiles a source whose bytecode is missing or
+stale. The output (stdout, or --out) is one JSON object with nproc, the
+Python and numpy versions, the seed and the compiled directories, and per
 workload every run's result line, the median of each metric per checkout
 and the number of pairs in which the change was better on each metric.
 """
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -28,6 +32,16 @@ import numpy as np
 
 #: metrics where a higher value is better; every other one is lower-better
 HIGHER_BETTER = {"ops_per_s"}
+#: the directories of each checkout compiled before the first pair
+COMPILED = ("src", "perfbench")
+
+
+def compile_tree(tree: Path) -> None:
+    """Bytecode for every source under the tree's COMPILED directories, by
+    the interpreter that runs the benchmark; SystemExit if one fails."""
+    for name in COMPILED:
+        if not compileall.compile_dir(tree / name, quiet=1):
+            raise SystemExit(f"compileall failed in {tree / name}")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -74,6 +88,8 @@ def main(argv) -> None:
     args = ap.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        compile_tree(tree)
     runs = {w: [] for w in args.workload}
     for pair in range(args.pairs):
         order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
@@ -91,6 +107,7 @@ def main(argv) -> None:
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "compiled": list(COMPILED),
         "workloads": {w: summary(runs[w]) for w in args.workload},
     }
     text = json.dumps(report, indent=1)

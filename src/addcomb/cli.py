@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 bad input (parse diagnostics go to stderr),
-2 usage errors (argparse), 3 a certificate failed verification.
+2 usage errors (argparse), 3 a certificate failed verification. A command
+stopped by an error writes nothing to stdout.
 
 `--records` switches to one tab-separated result per line with no prose,
 byte-stable across runs and worker counts, for golden-file diffing.
@@ -10,6 +11,8 @@ byte-stable across runs and worker counts, for golden-file diffing.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 import time
 from collections.abc import Iterator
@@ -300,8 +303,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a command's output is written only once it has all been formatted, so
+    # a failure writes nothing to stdout; search streams its records
+    out = sys.stdout if args.fn is _cmd_search else io.StringIO()
     try:
-        return args.fn(args)
+        with contextlib.redirect_stdout(out):
+            code = args.fn(args)
     except SetFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -309,8 +316,16 @@ def main(argv=None) -> int:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 3
     except (ApproximationError, BudgetExceededError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if "integer string conversion" in message:
+            # input past the digit limit is refused where it is read
+            message = (f"a computed value has more than {sys.get_int_max_str_digits()} "
+                       "digits, the limit for printing an integer")
+        print(f"error: {message}", file=sys.stderr)
         return 1
+    if out is not sys.stdout:
+        sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -5,12 +5,18 @@ the multiplicity of an image value x counts the ordered tuples realizing it.
 Sumsets and difference sets are the h = 2 special cases.
 
 Form values are computed here, for the whole package, as exact integer keys
-that coincide where the values do: one numpy key table per form and set, a
-row per integer column and a column per ordered tuple. Equal keys are found
-by one sort of the table packed into one exact row (key_runs); the sort
-need not be stable, since each key's first-seen column is recovered from
-its run in linear time. Keys are ordered as they are, and only a shown key
-is decoded.
+that coincide where the values do: one key table per form and set, a row
+per integer column and a column per ordered tuple (form_keys). Equal keys
+are found by one sort of the table packed into one exact row (key_runs);
+the sort need not be stable, since each key's first-seen column is
+recovered from its run in linear time. Keys are ordered as they are, and
+only a shown key is decoded.
+
+This module alone decides how a table's size picks its representation.
+At most SMALL_TABLE tuples, value_table sums a column's values as Python
+ints, and ordered_keys and compare_key_tables work on the keys as Python
+values, where numpy's per-call cost exceeds the work; every other table,
+and key_runs at every size, is handled as numpy arrays.
 """
 
 from __future__ import annotations
@@ -18,12 +24,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from .errors import BudgetExceededError
 from .model import (
     INT64_BOUND,
-    SMALL_TABLE,
     DIFFERENCE_FORM,
     SUM_FORM,
     FiniteSet,
@@ -31,12 +38,48 @@ from .model import (
     Scalar,
     clear_denominators,
     decode,
+    int_array,
     integer_columns,
     key_array,
     key_order,
     signed_form,
-    value_table,
 )
+
+#: hard ceiling on |A|^h wherever ordered tuples are enumerated
+TUPLE_BUDGET = 1_000_000
+#: tables of at most this many tuples are built and compared as Python
+#: values, which costs less there than numpy's calls (README, "Performance
+#: notes")
+SMALL_TABLE = 64
+
+
+def value_table(form: LinearForm, elements: Sequence[int]) -> np.ndarray:
+    """Values of an integral form over all ordered tuples of an integer
+    column, in lexicographic index order (first slot most significant), as
+    one numpy array built by broadcasting one slot at a time, or summed as
+    Python ints and converted once at most SMALL_TABLE tuples. It is int64
+    when sum|c_j| * max|x|, which bounds every partial sum, is below 2^63,
+    checked before the build, and dtype=object past it. form_keys calls it
+    once per integer column."""
+    k, h = len(elements), form.arity
+    if k**h > TUPLE_BUDGET:
+        raise BudgetExceededError(
+            f"|A|^h = {k}^{h} exceeds the enumeration budget of {TUPLE_BUDGET}"
+        )
+    # max(.., 1): a coefficient past 2^63 cannot enter an int64 array
+    bound = sum(map(abs, form.coeffs)) * max(max(map(abs, elements)), 1)
+    if k**h <= SMALL_TABLE:
+        first = form.coeffs[0]
+        vals = [first * e for e in elements]
+        for c in form.coeffs[1:]:
+            layer = [c * e for e in elements]
+            vals = [v + w for v in vals for w in layer]
+        return int_array(vals, bound)
+    x = int_array(elements, bound)
+    first, *rest = (x if c == 1 else c * x for c in form.coeffs)
+    for layer in rest:
+        first = np.add.outer(first, layer).ravel()
+    return first
 
 
 def form_keys(form: LinearForm, elements, cleared=None) -> tuple[np.ndarray, int]:
@@ -51,27 +94,6 @@ def form_keys(form: LinearForm, elements, cleared=None) -> tuple[np.ndarray, int
     tables = [value_table(iform, col) for col in columns]
     # one column needs no copy, only a second axis
     return (tables[0][np.newaxis] if len(tables) == 1 else np.array(tables)), m * mult
-
-
-def _small_key_runs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """key_runs of a small table, by a dict over its columns as Python
-    values, with one array conversion for all three results."""
-    rows = table.tolist()
-    index: dict = {}
-    first: list = []
-    counts: list = []
-    run = []
-    for pos, key in enumerate(rows[0] if len(rows) == 1 else zip(*rows)):
-        j = index.get(key)
-        if j is None:
-            j = index[key] = len(first)
-            first.append(pos)
-            counts.append(0)
-        counts[j] += 1
-        run.append(j)
-    d = len(first)
-    packed = np.array(first + counts + run, dtype=np.intp)
-    return packed[:d], packed[d : 2 * d], packed[2 * d :]
 
 
 def _packed_row(table: np.ndarray) -> np.ndarray:
@@ -100,17 +122,13 @@ def key_runs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     numpy's default argsort of the table as one row (_packed_row). The sort
     need not be stable: each run's first column is the least position in
     it, and the first-seen rank of a run is the number of runs' first
-    columns up to its own, one cumsum over a mark of the columns. A table
-    of at most SMALL_TABLE columns is grouped by a dict instead, which
-    there costs less than the sort's numpy calls.
+    columns up to its own, one cumsum over a mark of the columns.
 
     Returns (first, counts, run): the position of each distinct key's
     first column, the number of columns holding it, and for every column
     the index of its key in that order.
     """
     n = table.shape[1]
-    if n <= SMALL_TABLE:
-        return _small_key_runs(table)
     row = _packed_row(table)
     order = row.argsort()
     ordered = row[order]
@@ -143,10 +161,9 @@ def key_list(table: np.ndarray) -> list:
 def ordered_keys(table: np.ndarray, scale: int, basis) -> list:
     """The distinct keys of a key table as Python values (as key_list gives
     them), in increasing order of their values: image_order of the
-    distinct keys in first-seen order (ValueError on a tie). A table of at
-    most SMALL_TABLE columns finds them with a dict over its key_list and
-    sorts them as Python values, where key_runs and two fancy indexes cost
-    more than the whole dict walk."""
+    distinct keys in first-seen order (ValueError on a tie). At most
+    SMALL_TABLE columns, a dict over its key_list finds them, and they are
+    sorted as Python values."""
     if table.shape[1] <= SMALL_TABLE:
         distinct = list(dict.fromkeys(key_list(table)))
         if basis is None or basis.dimension == 1:
@@ -155,6 +172,34 @@ def ordered_keys(table: np.ndarray, scale: int, basis) -> list:
         return [distinct[i] for i in order.tolist()]
     distinct = table[:, key_runs(table)[0]]
     return key_list(distinct[:, image_order(distinct, scale, basis)])
+
+
+def compare_key_tables(akeys: np.ndarray, bkeys: np.ndarray) -> tuple:
+    """Whether the second key table is constant on every class of equal
+    keys of the first, column by column (a homomorphism), and whether both
+    also have as many classes (an isomorphism), with both tables' key_runs:
+    the second's run of every column is that of its first-side run's first
+    column. At most SMALL_TABLE columns, the distinct key pairs are counted
+    as Python values instead, and the runs are None."""
+    if akeys.shape[1] <= SMALL_TABLE:
+        alist, blist = key_list(akeys), key_list(bkeys)
+        pairs = len(set(zip(alist, blist)))
+        homomorphism = len(set(alist)) == pairs
+        return homomorphism, homomorphism and len(set(blist)) == pairs, None
+    aruns, bruns = key_runs(akeys), key_runs(bkeys)
+    brun = bruns[2]
+    homomorphism = bool((brun == brun[aruns[0]][aruns[2]]).all())
+    return homomorphism, homomorphism and len(bruns[0]) == len(aruns[0]), (aruns, bruns)
+
+
+def paired_runs(akeys: np.ndarray, bkeys: np.ndarray, runs) -> tuple:
+    """The distinct keys of the first table in first-seen order (as in
+    form_image, so both name a float tie alike), their multiplicities, the
+    second table's key at each and its multiplicity there, from the runs
+    compare_key_tables returned (found here for None)."""
+    (afirst, acounts, _), (_, bcounts, brun) = runs or (key_runs(akeys), key_runs(bkeys))
+    bhead = brun[afirst]
+    return akeys[:, afirst], acounts, bkeys[:, afirst], bcounts[bhead]
 
 
 def image_order(keys: np.ndarray, scale: int, basis) -> np.ndarray:

@@ -4,11 +4,11 @@ A bijection f preserves a form when two tuples share a form value on the
 domain side exactly when their images share a value on the codomain side.
 Each side's values partition the k^h index tuples; the partitions are equal
 exactly when the codomain value is constant on every class of the domain
-partition and both have as many classes, which one sort of each side's
-keys (on a small table, a count of distinct key pairs) decides instead of
-comparing all k^{2h} pairs of tuples. Values are the exact integer keys of
-``images.form_keys``, which coincide exactly where values do; ``images``
-also orders them, and only a shown key is decoded.
+partition and both have as many classes, which ``images`` decides from
+the exact integer key tables of both sides, which coincide exactly where
+values do, instead of comparing all k^{2h} pairs of tuples. ``images``
+builds, compares and orders the tables; this module names the witness of
+a failed check and decodes only the keys the induced map shows.
 
 The 8-element MSTD sets are classified by normalization, not by a search
 over pairings. The canonical set lies on 13 hyperplanes x_i + x_j = x_l + x_m
@@ -29,6 +29,7 @@ import numpy as np
 from .errors import CertificateError
 # form_image and value_table stay module attributes: perfbench/spans.py wraps them here
 from .images import (  # noqa: F401
+    compare_key_tables,
     decode,
     form_image,
     form_keys,
@@ -36,10 +37,10 @@ from .images import (  # noqa: F401
     is_mstd,
     key_list,
     key_runs,
+    paired_runs,
     value_table,
 )
 from .model import (
-    SMALL_TABLE,
     SUM_FORM,
     FiniteSet,
     LinearForm,
@@ -150,42 +151,12 @@ def _first_disagreement(akeys, bkeys, k: int, h: int) -> tuple:
 
 
 def _verdict(akeys: np.ndarray, bkeys: np.ndarray, k: int, h: int):
-    """Compare two key tables in tuple order.
-
-    The pairing is a homomorphism exactly when the codomain key is constant
-    on every class of equal domain keys, and an isomorphism when both sides
-    also have as many classes. Tables of more than SMALL_TABLE columns are
-    compared by one key_runs of each: the codomain run of every column must
-    be that of its domain run's first column. Smaller ones are compared as
-    Python lists, by counting the distinct key pairs: there the numpy calls
-    of key_runs and the comparison cost more than the whole count. Only a
-    failure walks the tuples to find its witness. Returns the verdict and
-    both tables' key_runs, or None for lists.
-    """
-    if akeys.shape[1] <= SMALL_TABLE:
-        alist, blist = key_list(akeys), key_list(bkeys)
-        pairs = len(set(zip(alist, blist)))
-        homomorphism = len(set(alist)) == pairs
-        isomorphism = homomorphism and len(set(blist)) == pairs
-        runs = None
-    else:
-        aruns, bruns = key_runs(akeys), key_runs(bkeys)
-        brun = bruns[2]
-        homomorphism = bool((brun == brun[aruns[0]][aruns[2]]).all())
-        isomorphism = homomorphism and len(bruns[0]) == len(aruns[0])
-        runs = aruns, bruns
+    """Compare two key tables in tuple order, by images.compare_key_tables;
+    only a failure walks the tuples to find its witness. Returns the
+    verdict and the runs compare_key_tables found."""
+    homomorphism, isomorphism, runs = compare_key_tables(akeys, bkeys)
     witness = None if isomorphism else _first_disagreement(akeys, bkeys, k, h)
     return IsoVerdict(homomorphism, isomorphism, witness), runs
-
-
-def _paired_runs(akeys: np.ndarray, bkeys: np.ndarray, runs) -> tuple:
-    """The distinct domain keys in first-seen order (as in form_image, so
-    both name a float tie alike), their multiplicities, the codomain key of
-    each and that key's multiplicity on the codomain side, from the runs
-    _verdict found (found here for the tables it compared as lists)."""
-    (afirst, acounts, _), (_, bcounts, brun) = runs or (key_runs(akeys), key_runs(bkeys))
-    bhead = brun[afirst]
-    return akeys[:, afirst], acounts, bkeys[:, afirst], bcounts[bhead]
 
 
 def _coincidences(form: LinearForm, f: SetBijection):
@@ -235,7 +206,7 @@ def induced_bijection(form: LinearForm, f: SetBijection) -> InducedMap:
     """Build the induced value map and verify multiplicities transfer.
 
     The runs and verdict are the certificate's when f carries them (see
-    _coincidences), so a table of more than SMALL_TABLE columns is hashed,
+    _coincidences), so a table whose runs the certificate found is hashed,
     counted or sorted no more but to order the values: images.image_order
     puts the domain's distinct keys in value order, and each side's keys
     are decoded once, in that order. The multiplicity and injectivity
@@ -244,7 +215,7 @@ def induced_bijection(form: LinearForm, f: SetBijection) -> InducedMap:
     verdict, akeys, bkeys, runs, (sa, sb) = _coincidences(form, f)
     if not verdict.is_isomorphism:
         raise ValueError(f"bijection is not an isomorphism (witness {verdict.witness})")
-    xkeys, mxs, ykeys, mys = _paired_runs(akeys, bkeys, runs)
+    xkeys, mxs, ykeys, mys = paired_runs(akeys, bkeys, runs)
     order = image_order(xkeys, sa, f.domain.basis)
     xs = decode(xkeys[:, order], sa, f.domain.basis)
     ys = decode(ykeys[:, order], sb, f.codomain.basis)

@@ -12,6 +12,9 @@ otherwise it orders the exact intervals themselves, raising when two meet.
 No float decides an equality, and a float fixes an order only where that
 bound proves it exact. The Dirichlet denominator search is the one other
 place that turns values into floats.
+
+Key tables are built, sized and compared in ``images``; this module gives
+them their integer columns, dtype, order and exact values.
 """
 
 from __future__ import annotations
@@ -26,13 +29,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetExceededError
-
 Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "RealElement"]
-
-#: hard ceiling on |A|^h wherever ordered tuples are enumerated
-TUPLE_BUDGET = 1_000_000
 
 #: an integer array is int64 while a bound on every entry and every
 #: intermediate sum stays below this, and dtype=object (Python ints) past it
@@ -46,9 +44,6 @@ UNIT_ROUNDOFF = 2.0**-53
 #: 12 keys back to back and below 16 to 24 keys with numpy's code and data
 #: evicted between calls (README, "Performance notes")
 FLOAT_ORDER_MIN = 16
-#: value tables of at most this many tuples are summed as Python ints and
-#: converted once, which costs less there than broadcasting slot by slot
-SMALL_TABLE = 64
 
 
 def int_array(rows, bound: int) -> np.ndarray:
@@ -571,33 +566,3 @@ def affine_image(A: FiniteSet, lam, mu) -> FiniteSet:
         raise ValueError("lam = 0 does not give an affine bijection")
     return FiniteSet(lam * a + mu for a in A)
 
-
-def check_tuple_budget(k: int, h: int):
-    if k**h > TUPLE_BUDGET:
-        raise BudgetExceededError(
-            f"|A|^h = {k}^{h} exceeds the enumeration budget of {TUPLE_BUDGET}"
-        )
-
-
-def value_table(form: LinearForm, elements: Sequence[int]) -> np.ndarray:
-    """Values of an integral form over all ordered tuples of an integer
-    column, in lexicographic index order (first slot most significant), as
-    one numpy array built by broadcasting one slot at a time. It is int64
-    when sum|c_j| * max|x|, which bounds every partial sum, is below 2^63,
-    checked before the build, and dtype=object past it. images.form_keys
-    calls it once per integer column."""
-    check_tuple_budget(len(elements), form.arity)
-    # max(.., 1): a coefficient past 2^63 cannot enter an int64 array
-    bound = sum(map(abs, form.coeffs)) * max(max(map(abs, elements)), 1)
-    if len(elements) ** form.arity <= SMALL_TABLE:
-        first = form.coeffs[0]
-        vals = [first * e for e in elements]
-        for c in form.coeffs[1:]:
-            layer = [c * e for e in elements]
-            vals = [v + w for v in vals for w in layer]
-        return int_array(vals, bound)
-    x = int_array(elements, bound)
-    first, *rest = (x if c == 1 else c * x for c in form.coeffs)
-    for layer in rest:
-        first = np.add.outer(first, layer).ravel()
-    return first

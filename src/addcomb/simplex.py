@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 #: int64 tableau entries stay below this magnitude, so p*a - f*b < 2^63
-INT64_BOUND = 1 << 31
+TABLEAU_ENTRY_BOUND = 1 << 31
 
 
 @dataclass
@@ -42,11 +42,11 @@ class SimplexStats:
 
 def _top(T: np.ndarray) -> int | None:
     """The largest magnitude of an int64 array's entries, or None if the
-    array holds Python ints or an entry reaches INT64_BOUND."""
+    array holds Python ints or an entry reaches TABLEAU_ENTRY_BOUND."""
     if T.dtype == object:
         return None
     top = max(int(T.max()), -int(T.min()))
-    return top if top < INT64_BOUND else None
+    return top if top < TABLEAU_ENTRY_BOUND else None
 
 
 def _array(rows):
@@ -71,7 +71,7 @@ def _pivot(T: np.ndarray, r: int, c: int, d: int, top):
     exact, and every row stays d times its row in the rational tableau, p
     times once this pivot is made. top bounds the magnitude of T's entries,
     None over Python ints. Returns the new tableau and its bound; the
-    tableau is over Python ints once an entry reaches INT64_BOUND.
+    tableau is over Python ints once an entry reaches TABLEAU_ENTRY_BOUND.
     """
     new = T * T[r, c]
     new -= T[:, c, None] * T[r]
@@ -83,7 +83,7 @@ def _pivot(T: np.ndarray, r: int, c: int, d: int, top):
     # |p*a - f*b| <= 2 top^2, which the division only shrinks: while that
     # is below the bound no entry needs reading
     top = 2 * top * top
-    if top < INT64_BOUND:
+    if top < TABLEAU_ENTRY_BOUND:
         return new, top
     top = _top(new)
     return (new, top) if top is not None else (new.astype(object), None)

@@ -384,6 +384,36 @@ def test_value_past_the_digit_limit_is_one_line(capsys, tmp_path, argv, text, fo
     assert code == 0 and err == ""
 
 
+@pytest.fixture
+def small_digit_limit():
+    """Python's int digit limit at its least nonzero value, 640, restored
+    afterwards."""
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("no digit limit in this interpreter")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("image",), ("image", "--records"), ("realize",), ("realize", "--records")],
+    ids=["image", "image-records", "realize", "realize-records"],
+)
+def test_computed_value_past_the_digit_limit_is_one_line(capsys, m8, small_digit_limit, argv):
+    """The form 10^(limit-1)*t1 + t2 is read, but its values at t1 >= 1 and
+    the group route's lambda have more digits than the limit: nothing
+    reaches stdout, not even the image's small values that come first, and
+    one line says why. With 10^(limit-2), whose values fit, it prints."""
+    limit = small_digit_limit
+    code, out, err = run(capsys, *argv, "--form", f"1e{limit - 1},1", m8)
+    want = f"error: a computed value has more than {limit} digits, the limit for printing an integer\n"
+    assert (code, out, err) == (1, "", want)
+    code, out, err = run(capsys, *argv, "--form", f"1e{limit - 2},1", m8)
+    assert code == 0 and out and err == ""
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

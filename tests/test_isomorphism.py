@@ -28,7 +28,7 @@ from addcomb import (
     realize,
 )
 from addcomb import images, isomorphism
-from addcomb.model import value_table
+from addcomb.images import value_table
 import helpers
 from helpers import (
     BASIS_GHOST,
@@ -375,7 +375,7 @@ class TestIntegerKeysAgainstValueWalk:
             checked += 1
             # a pairing that carries no certificate runs, so _verdict counts anew
             f = SetBijection(f.domain, f.codomain, f.perm)
-            monkeypatch.setattr(isomorphism, "key_runs", bump_codomain_runs(isomorphism.key_runs))
+            monkeypatch.setattr(images, "key_runs", bump_codomain_runs(images.key_runs))
             monkeypatch.setattr(helpers, "Counter", bump_codomain_count(helpers.Counter))
             want = induced_or_error(value_induced_bijection, form, f)
             assert isinstance(want, CertificateError)
@@ -420,7 +420,7 @@ def test_pair_set_comparison_matches_the_key_walk():
             failing += 1
             continue
         isos += 1
-        xkeys, _, ykeys, _ = isomorphism._paired_runs(akeys, bkeys, runs)
+        xkeys, _, ykeys, _ = images.paired_runs(akeys, bkeys, runs)
         assert list(zip(key_list(xkeys), key_list(ykeys))) == [
             (a, b) for a, (b, _) in walk_forward.items()
         ]
@@ -431,6 +431,57 @@ def test_pair_set_comparison_matches_the_key_walk():
         ys = images.decode(wy[:, order], sb, f.codomain.basis)
         assert [(x, y) for x, y, _ in induced_bijection(form, f).pairs] == list(zip(xs, ys))
     assert failing >= 800 and isos >= 400
+
+
+def _outcome(fn, *args) -> str:
+    """repr of what fn returns, or the type and message of the error it
+    raises: both name every value's kind and printed form."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _image(form, A):
+    report = form_image(form, A)
+    return report.image, report.multiplicities
+
+
+def _size_choice_answers() -> list:
+    """Every answer that images.SMALL_TABLE could change, over random
+    comparison and oracle cases: the verdict and witness, the domain's
+    ordered keys and form image, the induced pairs and, on tables of at
+    most 200 tuples, the realize result of each route (dirichlet not over
+    a basis of dimension 3, where its denominator scan can take seconds)."""
+    rng = random.Random(59)
+    cases = [comparison_case(rng, ("rational", "symbolic-3")[i % 2]) for i in range(150)]
+    cases += [oracle_case(rng, SET_KINDS[i % len(SET_KINDS)]) for i in range(100)]
+    answers = []
+    for form, f in cases:
+        A = f.domain
+        table, scale = images.form_keys(form, A.elements)
+        answers += [
+            _outcome(is_phi_isomorphism, form, f),
+            _outcome(images.ordered_keys, table, scale, A.basis),
+            _outcome(_image, form, A),
+            _outcome(induced_bijection, form, f),
+        ]
+        if len(A) ** form.arity > 200:
+            continue
+        routes = ("group", "dirichlet", "lp") if len(table) < 3 else ("group", "lp")
+        answers += [_outcome(realize, A, form, route) for route in routes]
+    return answers
+
+
+def test_the_size_choice_changes_no_answer(monkeypatch):
+    """With every table handled as numpy arrays (SMALL_TABLE 0) and with
+    every table handled as Python values (SMALL_TABLE at the tuple budget,
+    past any table), every answer is the default's, kind and print
+    included."""
+    want = _size_choice_answers()
+    for threshold in (0, images.TUPLE_BUDGET):
+        monkeypatch.setattr(images, "SMALL_TABLE", threshold)
+        assert _size_choice_answers() == want, threshold
 
 
 def test_induced_map_names_a_float_tie_as_form_image_does():

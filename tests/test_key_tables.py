@@ -1,6 +1,6 @@
 """The dtype of the key tables and the verdicts on both dtypes.
 
-``model.value_table`` builds an int64 column while sum|c_j| * max|x| is
+``images.value_table`` builds an int64 column while sum|c_j| * max|x| is
 below 2^63 and a dtype=object one from there on. On both, the certificate,
 its witness and the induced pairs must be those of the coincidence walks in
 ``tests/helpers.py``, which never read a key array.
@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from addcomb import images, realize
+from addcomb.images import value_table
 from addcomb.isomorphism import SetBijection, induced_bijection, is_phi_isomorphism
-from addcomb.model import DIFFERENCE_FORM, SUM_FORM, FiniteSet, LinearForm, value_table
+from addcomb.model import DIFFERENCE_FORM, SUM_FORM, FiniteSet, LinearForm
 from helpers import (
     BASIS_SQRT2,
     key_list,
@@ -136,10 +137,11 @@ def _dict_runs(keys: list) -> tuple[list, list, list]:
 @pytest.mark.parametrize("n", [1, 9, images.SMALL_TABLE, images.SMALL_TABLE + 1, 700])
 @pytest.mark.parametrize("spread", [3, 2**40, 2**62, 2**70])
 def test_key_runs_matches_a_dict_walk(rows, n, spread):
-    """Every path of key_runs (the dict of a small table; above it, one row
+    """key_runs sorts a table of every size, down to one column: one row
     sorted as it is, or several rows packed into one int64 row, or into
     one of Python ints where the product of their spans reaches 2^63 or
-    the table is dtype=object) gives the dict walk's first-seen runs."""
+    the table is dtype=object. Each gives the dict walk's first-seen runs,
+    at 1, 9 and SMALL_TABLE columns as past it."""
     rng = np.random.default_rng(rows * n + spread % 97)
     picks = rng.integers(0, 12, size=(rows, n)).tolist()
     # few distinct entries per row, spread far apart: keys repeat, and

@@ -107,7 +107,8 @@ def test_certify_times_reports_a_one_op_group(monkeypatch, capsys):
 
 def test_bench_pairs_runs_one_pair(tmp_path):
     """One short pair of realize-suite runs on one tree: both runs are
-    recorded with their metrics, and the medians and versions are written."""
+    recorded with their metrics, and the medians, the versions and the
+    directories compiled before the pair are written."""
     root = SCRIPTS.parent
     out = tmp_path / "pairs.json"
     load_script("bench_pairs").main(
@@ -116,6 +117,7 @@ def test_bench_pairs_runs_one_pair(tmp_path):
     )
     report = json.loads(out.read_text())
     assert report["nproc"] >= 1 and report["python"] and report["numpy"]
+    assert report["compiled"] == ["src", "perfbench"]
     suite = report["workloads"]["realize-suite"]
     assert [r["tree"] for r in suite["runs"]] == ["parent", "change"]
     assert suite["all_correct"]
